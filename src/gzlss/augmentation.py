@@ -95,8 +95,12 @@ def _bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
     ty = ty[None, :, None]
     tx = tx[None, None, :]
-    top = image[:, y0][:, :, x0] * (1 - tx) + image[:, y0][:, :, x1] * tx
-    bot = image[:, y1][:, :, x0] * (1 - tx) + image[:, y1][:, :, x1] * tx
+    # each source row gathered once; a float32 source is promoted to float64
+    # exactly inside the products
+    rows0 = image[:, y0]
+    rows1 = image[:, y1]
+    top = rows0[:, :, x0] * (1 - tx) + rows0[:, :, x1] * tx
+    bot = rows1[:, :, x0] * (1 - tx) + rows1[:, :, x1] * tx
     return top * (1 - ty) + bot * ty
 
 
@@ -110,7 +114,7 @@ def apply(spec: AugmentationSpec, image: np.ndarray) -> np.ndarray:
     if spec.kind == MIRROR:
         return image[:, :, ::-1].copy()
     out_h, out_w = scaled_size(image.shape[1:], spec)
-    return _bilinear_resize(image.astype(np.float64, copy=False), out_h, out_w)
+    return _bilinear_resize(image, out_h, out_w)
 
 
 def apply_mask(spec: AugmentationSpec, mask: np.ndarray) -> np.ndarray:

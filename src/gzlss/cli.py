@@ -66,7 +66,6 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "specs": (str, "identity,mirror,scale=3/2"),
     "strategy": (str, "strict"),
     "gamma": (float, 0.0),
-    "workers": (int, 1),
     "timings": (bool, False),
 }
 
@@ -204,7 +203,7 @@ def _cmd_train_base(args, cfg: dict) -> int:
     params = self_training.train_base(ds, _train_config(cfg))
     save_checkpoint(args.out, params)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"], cfg["workers"])
+                         ds.table, ds.space, cfg["gamma"])
     print(f"saved {args.out}")
     print(summary_line(rep))
     return 0
@@ -252,7 +251,7 @@ def _cmd_selftrain(args, cfg: dict) -> int:
         history = [r for r in self_training.read_history_csv(history_path)
                    if r.cycle < args.resume]
     params, records = strict_train(
-        ds, tc, specs, cfg["strategy"], cfg["gamma"], cfg["workers"],
+        ds, tc, specs, cfg["strategy"], cfg["gamma"],
         checkpoint_dir=args.out, start_cycle=args.resume, start_params=start_params,
         history=history,
     )
@@ -281,7 +280,7 @@ def _cmd_eval(args, cfg: dict) -> int:
     ds = _load_dataset(args.data)
     params, _ = load_checkpoint(args.model)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"], cfg["workers"],
+                         ds.table, ds.space, cfg["gamma"],
                          exclude_ids=_eval_exclusions(cfg, ds))
     if args.report:
         write_report_csv(rep, args.report)
@@ -309,7 +308,7 @@ def _cmd_ablate_augs(args, cfg: dict) -> int:
     for name, mirror, scaling in ABLATION_GRID:
         rng = np.random.default_rng([tc.seed, 3, len(rows)])
         specs = augmentation.regime_specs(mirror, scaling, rng)
-        _, records = strict_train(ds, tc, specs, "strict", cfg["gamma"], cfg["workers"])
+        _, records = strict_train(ds, tc, specs, "strict", cfg["gamma"])
         last = records[-1]
         rows.append((name, last.seen_miou, last.unseen_miou, last.hm))
         print(f"{name:<16} S={last.seen_miou:.1f} U={last.unseen_miou:.1f} HM={last.hm:.1f}")

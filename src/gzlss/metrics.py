@@ -105,7 +105,6 @@ def evaluate_pairs(
     table: EmbeddingTable,
     space: LabelSpace,
     gamma: float = 0.0,
-    workers: int = 1,
     exclude_ids: tuple = (),
 ) -> GzlssReport:
     """Run calibrated GZS inference over (image, gt) pairs and score them.
@@ -113,25 +112,11 @@ def evaluate_pairs(
     Classes in ``exclude_ids`` are dropped from scoring: their ground-truth
     pixels are ignored and they are left out of the seen/unseen means.
     """
-    pairs = list(pairs)
-
-    def one(pair):
-        image, gt = pair
+    cm = new_confusion(space)
+    for image, gt in pairs:
         if exclude_ids:
             gt = np.where(np.isin(gt, exclude_ids), 0, gt)
-        cm = new_confusion(space)
-        return accumulate(infer_gzs(image, params, table, space, gamma), gt, cm)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mats = list(pool.map(one, pairs))
-    else:
-        mats = [one(p) for p in pairs]
-    cm = new_confusion(space)
-    for m in mats:
-        cm += m
+        accumulate(infer_gzs(image, params, table, space, gamma), gt, cm)
     return build_report(cm, space, exclude_ids)
 
 

@@ -105,14 +105,23 @@ def init_backbone(
 
 
 def _window_stack(image: np.ndarray, k: int) -> np.ndarray:
-    # (C, N, M) -> (C*k*k, N, M) with edge-replicate padding
+    # (C, N, M) -> float64 (C*k*k, N, M) with edge-replicate padding; the
+    # float64 conversion happens in the final copy, which is exact from float32
     if k == 1:
-        return image
+        return np.asarray(image, dtype=np.float64)
     pad = k // 2
-    _, n, m = image.shape
-    padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-    views = [padded[:, dy : dy + n, dx : dx + m] for dy in range(k) for dx in range(k)]
-    return np.concatenate(views, axis=0)
+    c, n, m = image.shape
+    padded = np.empty((c, n + 2 * pad, m + 2 * pad), dtype=image.dtype)
+    padded[:, pad : pad + n, pad : pad + m] = image
+    padded[:, pad : pad + n, :pad] = image[:, :, :1]
+    padded[:, pad : pad + n, pad + m :] = image[:, :, -1:]
+    padded[:, :pad] = padded[:, pad : pad + 1]
+    padded[:, pad + n :] = padded[:, pad + n - 1 : pad + n]
+    out = np.empty((c * k * k, n, m), dtype=np.float64)
+    for i in range(k * k):
+        dy, dx = divmod(i, k)
+        out[i * c : (i + 1) * c] = padded[:, dy : dy + n, dx : dx + m]
+    return out
 
 
 def _forward_layers(x: np.ndarray, params: BackboneParams) -> list[np.ndarray]:
@@ -126,7 +135,7 @@ def _forward_layers(x: np.ndarray, params: BackboneParams) -> list[np.ndarray]:
 
 
 def _pixel_input(image: np.ndarray, params: BackboneParams) -> tuple[np.ndarray, int, int]:
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image)
     if image.ndim != 3:
         raise ValueError(f"expected (C, N, M) image, got shape {image.shape}")
     c, n, m = image.shape
@@ -228,12 +237,22 @@ class BackwardResult:
 
 
 def _ce_term(
-    feat: np.ndarray, emb: np.ndarray, labels_flat: np.ndarray, chan: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(feat) of one sum-form CE term over labeled pixels."""
+    feat: np.ndarray,
+    emb: np.ndarray,
+    labels_flat: np.ndarray,
+    chan: np.ndarray,
+    dfeat: np.ndarray,
+    scale: float = 1.0,
+) -> float:
+    """Loss of one sum-form CE term over labeled pixels.
+
+    ``scale`` times its d(loss)/d(feat) is added into the labeled columns
+    of ``dfeat``, which the caller zeroes; columns the term does not label
+    are left untouched.
+    """
     labeled = labels_flat > 0
     if not labeled.any():
-        return 0.0, np.zeros_like(feat)
+        return 0.0
     cols = np.flatnonzero(labeled)
     logits = emb @ feat[:, cols]  # (C, P_l)
     logits -= logits.max(axis=0, keepdims=True)
@@ -242,9 +261,10 @@ def _ce_term(
     loss = float((lse - logits[target, np.arange(cols.size)]).sum())
     dlogits = np.exp(logits - lse)  # softmax
     dlogits[target, np.arange(cols.size)] -= 1.0
-    dfeat = np.zeros_like(feat)
-    dfeat[:, cols] = emb.T @ dlogits
-    return loss, dfeat
+    # "+ 0.0" turns a -0.0 into +0.0, as summing one zero-filled grid per
+    # term did; it is much cheaper than adding into the fancy-indexed columns
+    dfeat[:, cols] = scale * (emb.T @ dlogits) + 0.0
+    return loss
 
 
 def backward(
@@ -287,9 +307,13 @@ def backward(
     ):
         raise ValueError("pseudo mask contains non-unseen ids")
 
-    seen_loss, dfeat_s = _ce_term(feat, table.matrix(space.seen_ids), y_flat, seen_chan)
-    pseudo_loss, dfeat_u = _ce_term(feat, table.matrix(space.unseen_ids), ybar_flat, unseen_chan)
-    dfeat = dfeat_s + lam * dfeat_u
+    # one gradient grid for both terms: no pixel carries both labels (checked
+    # above), so each term writes only its own columns
+    dfeat = np.zeros_like(feat)
+    seen_loss = _ce_term(feat, table.matrix(space.seen_ids), y_flat, seen_chan, dfeat)
+    pseudo_loss = _ce_term(
+        feat, table.matrix(space.unseen_ids), ybar_flat, unseen_chan, dfeat, lam
+    )
 
     grad_w = [np.empty(0)] * len(params.weights)
     grad_b = [np.empty(0)] * len(params.biases)

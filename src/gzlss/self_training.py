@@ -181,7 +181,6 @@ def strict_train(
     specs,
     strategy: str = "strict",
     gamma: float = 0.0,
-    workers: int = 1,
     checkpoint_dir: str | None = None,
     start_cycle: int = 0,
     start_params: BackboneParams | None = None,
@@ -204,7 +203,7 @@ def strict_train(
     if start_cycle == 0:
         t0 = time.perf_counter()
         params = train_base(dataset, config)
-        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma, workers)
+        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma)
         records.append(CycleRecord(0, rep.seen_miou, rep.unseen_miou, rep.hm,
                                    None, None, None, time.perf_counter() - t0))
         checkpoint(0, params)
@@ -227,7 +226,7 @@ def strict_train(
         t0 = time.perf_counter()
         params, pseudo, state = run_cycle(params, dataset, specs, strategy, config, t, state)
         quality = dataset_pseudo_quality(pseudo, dataset.train)
-        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma, workers)
+        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma)
         records.append(CycleRecord(
             t, rep.seen_miou, rep.unseen_miou, rep.hm,
             None if quality is None or quality.precision is None else 100.0 * quality.precision,

@@ -27,6 +27,8 @@ from gzlss.label_space import (
     load_embeddings,
     make_embedding_table,
     save_embeddings,
+    validate_eval_mask,
+    validate_training_mask,
 )
 from gzlss.model import BackboneParams, load_checkpoint, save_checkpoint
 
@@ -419,19 +421,30 @@ def save_dataset(ds: Dataset, path: str) -> None:
                 write_pgm(s.hidden_gt, os.path.join(sub, f"img_{i:04d}.gt.pgm"))
 
 
-def _load_split(path: str, split: str, count: int, with_gt: bool):
+def _read_checked_pgm(path: str, check, space: LabelSpace) -> np.ndarray:
+    mask = read_pgm(path)
+    try:
+        check(mask, space)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return mask
+
+
+def _load_split(path: str, split: str, count: int, with_gt: bool, space: LabelSpace):
+    # masks are checked against the label space here, once, so a bad file is
+    # reported by name instead of failing deep inside training
     sub = os.path.join(path, split)
     samples = []
     for i in range(count):
         stem = os.path.join(sub, f"img_{i:04d}")
         image = read_feat(stem + ".feat")
-        mask = read_pgm(stem + ".mask.pgm")
+        mask = _read_checked_pgm(stem + ".mask.pgm", validate_training_mask, space)
         gt = None
         if with_gt:
             gt_path = stem + ".gt.pgm"
             if not os.path.exists(gt_path):
                 raise FormatError(f"missing ground truth: {gt_path}")
-            gt = read_pgm(gt_path)
+            gt = _read_checked_pgm(gt_path, validate_eval_mask, space)
         samples.append(SyntheticSample(image, mask, gt))
     return samples
 
@@ -451,8 +464,8 @@ def load_dataset(path: str, include_hidden: bool = False) -> Dataset:
         cfg.background_id if cfg.background == BACKGROUND_SEEN else None,
     )
     table = load_embeddings(os.path.join(path, _EMBED_NAME), space)
-    train = _load_split(path, "train", cfg.train_images, include_hidden)
-    evals = _load_split(path, "eval", cfg.eval_images, True)
+    train = _load_split(path, "train", cfg.train_images, include_hidden, space)
+    evals = _load_split(path, "eval", cfg.eval_images, True, space)
     hidden = None
     if include_hidden:
         hidden = load_hidden_map(os.path.join(path, _HIDDEN_NAME))

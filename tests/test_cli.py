@@ -57,6 +57,19 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_mask_file_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    path = data / "train" / "img_0002.mask.pgm"
+    mask = sd.read_pgm(path)
+    mask[0, 0] = 4  # an unseen id (seen classes are 1-3)
+    sd.write_pgm(mask, path)
+    capsys.readouterr()
+    assert cli.main(["selftrain", "--data", str(data), "--out",
+                     str(tmp_path / "run")] + TINY + FAST) == 2
+    assert "img_0002.mask.pgm" in capsys.readouterr().err
+
+
 def test_end_to_end_pipeline(tmp_path, capsys):
     data = str(tmp_path / "data")
     assert cli.main(["gen-data", "--out", data] + TINY) == 0

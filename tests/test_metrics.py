@@ -5,7 +5,6 @@ import pytest
 
 from gzlss import metrics
 from gzlss.label_space import build_label_space, make_embedding_table
-from gzlss.model import init_backbone
 
 
 def test_accumulate_hand_case(space):
@@ -53,19 +52,6 @@ def test_harmonic_mean_values():
     assert abs(metrics.harmonic_mean(80.0, 20.0) - 32.0) < 1e-12
     with pytest.raises(ValueError):
         metrics.harmonic_mean(-1.0, 10.0)
-
-
-def test_evaluate_pairs_workers_agree(space, table):
-    rng = np.random.default_rng(21)
-    params = init_backbone(3, table.dim, rng=rng)
-    pairs = [
-        (rng.standard_normal((3, 6, 6)), rng.integers(0, 6, size=(6, 6)))
-        for _ in range(5)
-    ]
-    seq = metrics.evaluate_pairs(params, pairs, table, space, 0.1, workers=1)
-    par = metrics.evaluate_pairs(params, pairs, table, space, 0.1, workers=3)
-    assert seq.class_iou == par.class_iou
-    assert seq.hm == par.hm
 
 
 def test_pseudo_quality_hand_case():

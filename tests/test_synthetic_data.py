@@ -181,3 +181,27 @@ def test_load_withholds_hidden_by_default(tmp_path):
 def test_load_missing_meta(tmp_path):
     with pytest.raises(FormatError):
         sd.load_dataset(str(tmp_path / "nowhere"))
+
+
+def test_load_rejects_bad_masks_by_file(tmp_path):
+    """Masks are checked against the label space once, when they are read."""
+    ds = sd.generate(sd.GeneratorConfig(seed=8, **SMALL))
+    root = tmp_path / "ds"
+    sd.save_dataset(ds, str(root))
+    unseen = ds.space.unseen_ids[0]
+
+    bad = root / "train" / "img_0003.mask.pgm"
+    good = sd.read_pgm(bad)
+    mask = good.copy()
+    mask[0, 0] = unseen
+    sd.write_pgm(mask, bad)
+    with pytest.raises(FormatError, match="img_0003.mask.pgm.*non-seen ids"):
+        sd.load_dataset(str(root))
+    sd.write_pgm(good, bad)
+
+    gt_path = root / "eval" / "img_0001.gt.pgm"
+    gt = sd.read_pgm(gt_path)
+    gt[0, 0] = max(ds.space.all_ids) + 1
+    sd.write_pgm(gt, gt_path)
+    with pytest.raises(FormatError, match="img_0001.gt.pgm.*unknown ids"):
+        sd.load_dataset(str(root))
