@@ -14,8 +14,10 @@ format, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -25,49 +27,29 @@ from gzlss.label_space import BACKGROUND_IGNORED, BACKGROUND_SEEN
 from gzlss.metrics import evaluate_pairs, summary_line, write_report_csv
 from gzlss.model import TrainConfig, load_checkpoint, save_checkpoint
 from gzlss.pseudo_labeler import parse_strategy
-from gzlss.self_training import strict_train, write_history_csv
+from gzlss.self_training import strict_train
 
-# the one flat configuration namespace: key -> (type, default)
-SCHEMA: dict[str, tuple[type, object]] = {
-    # dataset generation
-    "height": (int, 32),
-    "width": (int, 32),
-    "channels": (int, 12),
-    "embed_dim": (int, 8),
-    "num_seen": (int, 6),
-    "num_unseen": (int, 3),
-    "noise": (float, 0.1),
-    "shapes_min": (int, 2),
-    "shapes_max": (int, 4),
-    "shape_kinds": (str, "rect,ellipse"),
-    "cooccurrence": (float, 0.7),
-    "train_images": (int, 200),
-    "eval_images": (int, 50),
-    "min_class_images": (int, 3),
+# the dataclasses whose fields are configuration keys, each with the fields
+# that take another key name (TrainConfig already owns "seed")
+_SECTIONS = {synthetic_data.GeneratorConfig: {"seed": "data_seed"}, TrainConfig: {}}
+
+
+def _schema() -> dict[str, tuple[type, object]]:
+    """The one flat configuration namespace, key -> (type, default): every
+    field of the ``_SECTIONS`` dataclasses, then the pipeline keys."""
+    schema = {}
+    for cls, renames in _SECTIONS.items():
+        types = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            schema[renames.get(f.name, f.name)] = (types[f.name], f.default)
     # "auto" = the dataset's own mode at eval time, "ignored" at generation
-    "background": (str, "auto"),
-    "background_id": (int, 1),
-    "data_seed": (int, 0),
-    # training
-    "lam": (float, 1.0),
-    "batch_size": (int, 8),
-    "base_iters": (int, 400),
-    "cycle_iters": (int, 150),
-    "cycles": (int, 6),
-    "seed": (int, 0),
-    "base_lr": (float, 2.5e-4),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-4),
-    "power": (float, 0.9),
-    "hidden": (str, ""),
-    "window": (int, 1),
-    "reset_per_cycle": (bool, True),
-    # pipeline
-    "specs": (str, "identity,mirror,scale=3/2"),
-    "strategy": (str, "strict"),
-    "gamma": (float, 0.0),
-    "timings": (bool, False),
-}
+    schema["background"] = (str, "auto")
+    schema.update(specs=(str, "identity,mirror,scale=3/2"), strategy=(str, "strict"),
+                  gamma=(float, 0.0), timings=(bool, False))
+    return schema
+
+
+SCHEMA = _schema()
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -86,6 +68,9 @@ def _coerce(key: str, text: str):
             if low in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {text!r}")
+        if typing.get_origin(typ) is tuple:  # comma list, e.g. hidden=16,16
+            item = typing.get_args(typ)[0]
+            return tuple(item(t.strip()) for t in text.split(",") if t.strip())
         return typ(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
@@ -134,47 +119,40 @@ def load_config(config_path: str | None, extras: list[str]) -> dict:
     return cfg
 
 
-def _generator_config(cfg: dict) -> synthetic_data.GeneratorConfig:
-    kinds = tuple(k.strip() for k in cfg["shape_kinds"].split(",") if k.strip())
+def _build(cls, cfg: dict):
+    """The ``cls`` dataclass from the configuration keys of its fields."""
+    renames = _SECTIONS[cls]
     try:
-        return synthetic_data.GeneratorConfig(
-            height=cfg["height"], width=cfg["width"], channels=cfg["channels"],
-            embed_dim=cfg["embed_dim"], num_seen=cfg["num_seen"],
-            num_unseen=cfg["num_unseen"], noise=cfg["noise"],
-            shapes_min=cfg["shapes_min"], shapes_max=cfg["shapes_max"],
-            shape_kinds=kinds, cooccurrence=cfg["cooccurrence"],
-            train_images=cfg["train_images"], eval_images=cfg["eval_images"],
-            min_class_images=cfg["min_class_images"],
-            background=(BACKGROUND_IGNORED if cfg["background"] == "auto"
-                        else cfg["background"]),
-            background_id=cfg["background_id"],
-            seed=cfg["data_seed"],
-        )
+        return cls(**{f.name: cfg[renames.get(f.name, f.name)]
+                      for f in dataclasses.fields(cls)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    text = cfg["hidden"].strip()
+def _pipeline_specs(cfg: dict) -> list[augmentation.AugmentationSpec]:
+    """The parsed view specs, after checking the strategy name too."""
     try:
-        hidden = tuple(int(t) for t in text.split(",") if t.strip()) if text else ()
-        return TrainConfig(
-            lam=cfg["lam"], batch_size=cfg["batch_size"],
-            base_iters=cfg["base_iters"], cycle_iters=cfg["cycle_iters"],
-            cycles=cfg["cycles"], seed=cfg["seed"], base_lr=cfg["base_lr"],
-            momentum=cfg["momentum"], weight_decay=cfg["weight_decay"],
-            power=cfg["power"], hidden=hidden, window=cfg["window"],
-            reset_per_cycle=cfg["reset_per_cycle"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_specs(cfg: dict) -> list[augmentation.AugmentationSpec]:
-    try:
+        parse_strategy(cfg["strategy"])
         return augmentation.parse_spec_list(cfg["specs"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _format(value) -> str:
+    """A value as ``--config`` reads it back."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _check_resume_settings(cfg: dict, path: str) -> None:
+    """A resumed run must use the settings its ``run.cfg`` recorded; only
+    ``timings`` may change, since it touches no result."""
+    saved = _read_config_file(path)
+    for key in SCHEMA:
+        if key != "timings" and saved.get(key) != cfg[key]:
+            raise ConfigError(
+                f"--resume with {key}={_format(cfg[key])}, but the run used "
+                f"{key}={_format(saved.get(key, ''))} ({path})"
+            )
 
 
 def _load_dataset(path: str, include_hidden: bool = False) -> synthetic_data.Dataset:
@@ -192,7 +170,9 @@ def _has_hidden(path: str) -> bool:
 
 
 def _cmd_gen_data(args, cfg: dict) -> int:
-    ds = synthetic_data.generate(_generator_config(cfg))
+    if cfg["background"] == "auto":
+        cfg = dict(cfg, background=BACKGROUND_IGNORED)
+    ds = synthetic_data.generate(_build(synthetic_data.GeneratorConfig, cfg))
     synthetic_data.save_dataset(ds, args.out)
     print(f"wrote {len(ds.train)} train / {len(ds.eval)} eval images to {args.out}")
     return 0
@@ -200,7 +180,7 @@ def _cmd_gen_data(args, cfg: dict) -> int:
 
 def _cmd_train_base(args, cfg: dict) -> int:
     ds = _load_dataset(args.data)
-    params = self_training.train_base(ds, _train_config(cfg))
+    params = self_training.train_base(ds, _build(TrainConfig, cfg))
     save_checkpoint(args.out, params)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
                          ds.table, ds.space, cfg["gamma"])
@@ -212,13 +192,9 @@ def _cmd_train_base(args, cfg: dict) -> int:
 def _cmd_pseudo(args, cfg: dict) -> int:
     include_hidden = _has_hidden(args.data)
     ds = _load_dataset(args.data, include_hidden)
-    params, _ = load_checkpoint(args.model)
-    try:
-        parse_strategy(cfg["strategy"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = load_checkpoint(args.model)
     pseudo = self_training.generate_pseudo(
-        params, ds, _parse_specs(cfg), cfg["strategy"], cycle=1
+        params, ds, _pipeline_specs(cfg), cfg["strategy"], cycle=1
     )
     os.makedirs(args.out, exist_ok=True)
     for i, pm in enumerate(pseudo):
@@ -235,28 +211,26 @@ def _cmd_pseudo(args, cfg: dict) -> int:
 
 def _cmd_selftrain(args, cfg: dict) -> int:
     ds = _load_dataset(args.data, _has_hidden(args.data))
-    tc = _train_config(cfg)
-    specs = _parse_specs(cfg)
-    try:
-        parse_strategy(cfg["strategy"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tc = _build(TrainConfig, cfg)
+    specs = _pipeline_specs(cfg)
     os.makedirs(args.out, exist_ok=True)
-    history_path = os.path.join(args.out, "history.csv")
+    run_cfg = os.path.join(args.out, "run.cfg")
 
     start_params, history = None, None
     if args.resume > 0:
-        prev = os.path.join(args.out, f"cycle_{args.resume - 1:03d}.ckpt")
-        start_params, _ = load_checkpoint(prev)
-        history = [r for r in self_training.read_history_csv(history_path)
-                   if r.cycle < args.resume]
+        _check_resume_settings(cfg, run_cfg)
+        start_params = load_checkpoint(os.path.join(args.out, f"cycle_{args.resume - 1:03d}.ckpt"))
+        history = [r for r in self_training.read_history_csv(
+            os.path.join(args.out, self_training.HISTORY_FILE)) if r.cycle < args.resume]
+    else:
+        with open(run_cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={_format(cfg[key])}\n" for key in SCHEMA)
     params, records = strict_train(
         ds, tc, specs, cfg["strategy"], cfg["gamma"],
         checkpoint_dir=args.out, start_cycle=args.resume, start_params=start_params,
-        history=history,
+        history=history, timings=cfg["timings"],
     )
     save_checkpoint(os.path.join(args.out, "model.ckpt"), params)
-    write_history_csv(records, history_path, cfg["timings"])
     last = records[-1]
     print(f"S={last.seen_miou:.1f} U={last.unseen_miou:.1f} HM={last.hm:.1f}")
     return 0
@@ -278,7 +252,7 @@ def _eval_exclusions(cfg: dict, ds) -> tuple:
 
 def _cmd_eval(args, cfg: dict) -> int:
     ds = _load_dataset(args.data)
-    params, _ = load_checkpoint(args.model)
+    params = load_checkpoint(args.model)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
                          ds.table, ds.space, cfg["gamma"],
                          exclude_ids=_eval_exclusions(cfg, ds))
@@ -303,7 +277,7 @@ ABLATION_GRID = (
 
 def _cmd_ablate_augs(args, cfg: dict) -> int:
     ds = _load_dataset(args.data, _has_hidden(args.data))
-    tc = _train_config(cfg)
+    tc = _build(TrainConfig, cfg)
     rows = []
     for name, mirror, scaling in ABLATION_GRID:
         rng = np.random.default_rng([tc.seed, 3, len(rows)])

@@ -21,7 +21,7 @@ from gzlss.errors import FormatError, NumericError
 from gzlss.label_space import EmbeddingTable, LabelSpace
 
 CHECKPOINT_MAGIC = b"GZLSSCK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -62,7 +62,6 @@ class TrainConfig:
     power: float = 0.9
     hidden: tuple[int, ...] = ()
     window: int = 1
-    reset_per_cycle: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -339,34 +338,23 @@ def backward(
 
 @dataclass
 class OptimizerState:
-    """SGD momentum buffers and schedule bookkeeping."""
+    """SGD momentum buffers and schedule position; hyperparameters from ``config``."""
 
     velocity_w: list[np.ndarray]
     velocity_b: list[np.ndarray]
     max_iter: int
+    config: TrainConfig
     iteration: int = 0
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    base_lr: float = 2.5e-4
-    power: float = 0.9
 
 
 def init_optimizer(
-    params: BackboneParams,
-    max_iter: int,
-    base_lr: float = 2.5e-4,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
-    power: float = 0.9,
+    params: BackboneParams, max_iter: int, config: TrainConfig
 ) -> OptimizerState:
     return OptimizerState(
         [np.zeros_like(w) for w in params.weights],
         [np.zeros_like(b) for b in params.biases],
-        max_iter=max_iter,
-        momentum=momentum,
-        weight_decay=weight_decay,
-        base_lr=base_lr,
-        power=power,
+        max_iter,
+        config,
     )
 
 
@@ -380,22 +368,23 @@ def poly_lr(iteration: int, max_iter: int, base_lr: float, power: float = 0.9) -
 
 
 def sgd_step(
-    params: BackboneParams, grads: BackwardResult, state: OptimizerState
-) -> tuple[BackboneParams, OptimizerState]:
-    """One momentum step: v <- mu*v - lr*(g + wd*theta); theta <- theta + v."""
-    lr = poly_lr(state.iteration, state.max_iter, state.base_lr, state.power)
+    params: BackboneParams,
+    grad_w: list[np.ndarray],
+    grad_b: list[np.ndarray],
+    state: OptimizerState,
+) -> None:
+    """One in-place momentum step: v <- mu*v - lr*(g + wd*theta); theta <- theta + v."""
+    cfg = state.config
+    lr = poly_lr(state.iteration, state.max_iter, cfg.base_lr, cfg.power)
     for theta, g, v in zip(
-        params.weights + params.biases,
-        grads.grad_weights + grads.grad_biases,
-        state.velocity_w + state.velocity_b,
+        params.weights + params.biases, grad_w + grad_b, state.velocity_w + state.velocity_b
     ):
         if theta.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
-        v *= state.momentum
-        v -= lr * (g + state.weight_decay * theta)
+        v *= cfg.momentum
+        v -= lr * (g + cfg.weight_decay * theta)
         theta += v
     state.iteration += 1
-    return params, state
 
 
 def infer_gzs(
@@ -429,11 +418,11 @@ def argmax_labels(feat: np.ndarray, table: EmbeddingTable, ids) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic, version, window, layer count, per-layer shapes,
-# float64 little-endian weights/biases, then optionally the optimizer state
+# then float64 little-endian weights/biases
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params: BackboneParams, state: OptimizerState | None = None) -> None:
+def save_checkpoint(path, params: BackboneParams) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, params.window, len(params.weights)))
@@ -442,24 +431,6 @@ def save_checkpoint(path, params: BackboneParams, state: OptimizerState | None =
         for w, b in zip(params.weights, params.biases):
             fh.write(w.astype("<f8").tobytes())
             fh.write(b.astype("<f8").tobytes())
-        if state is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(
-                struct.pack(
-                    "<IIdddd",
-                    state.iteration,
-                    state.max_iter,
-                    state.momentum,
-                    state.weight_decay,
-                    state.base_lr,
-                    state.power,
-                )
-            )
-            for vw, vb in zip(state.velocity_w, state.velocity_b):
-                fh.write(vw.astype("<f8").tobytes())
-                fh.write(vb.astype("<f8").tobytes())
 
 
 def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
@@ -469,7 +440,7 @@ def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
     return data
 
 
-def load_checkpoint(path) -> tuple[BackboneParams, OptimizerState | None]:
+def load_checkpoint(path) -> BackboneParams:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC), path, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -487,20 +458,4 @@ def load_checkpoint(path) -> tuple[BackboneParams, OptimizerState | None]:
             weights.append(np.frombuffer(wb, dtype="<f8").reshape(n_out, n_in).copy())
             bb = _read_exact(fh, 8 * n_out, path, f"layer {i} bias")
             biases.append(np.frombuffer(bb, dtype="<f8").copy())
-        params = BackboneParams(weights, biases, window)
-        (has_state,) = struct.unpack("<B", _read_exact(fh, 1, path, "optimizer flag"))
-        if not has_state:
-            return params, None
-        iteration, max_iter, momentum, wd, base_lr, power = struct.unpack(
-            "<IIdddd", _read_exact(fh, 40, path, "optimizer header")
-        )
-        vel_w, vel_b = [], []
-        for i, (n_out, n_in) in enumerate(shapes):
-            wb = _read_exact(fh, 8 * n_out * n_in, path, f"layer {i} velocity")
-            vel_w.append(np.frombuffer(wb, dtype="<f8").reshape(n_out, n_in).copy())
-            bb = _read_exact(fh, 8 * n_out, path, f"layer {i} bias velocity")
-            vel_b.append(np.frombuffer(bb, dtype="<f8").copy())
-        state = OptimizerState(
-            vel_w, vel_b, max_iter, iteration, momentum, wd, base_lr, power
-        )
-        return params, state
+        return BackboneParams(weights, biases, window)

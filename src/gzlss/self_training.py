@@ -25,8 +25,6 @@ from gzlss.label_space import EmbeddingTable, LabelSpace
 from gzlss.metrics import PseudoQuality, evaluate_pairs, pseudo_quality
 from gzlss.model import (
     BackboneParams,
-    BackwardResult,
-    OptimizerState,
     TrainConfig,
     backward,
     init_backbone,
@@ -39,6 +37,7 @@ from gzlss.pseudo_labeler import PseudoMask, generate, unlabeled_pixels
 TAG_BASE = 1
 TAG_CYCLE = 2
 
+HISTORY_FILE = "history.csv"
 HISTORY_SCHEMA = "# gzlss history schema v1"
 HISTORY_COLUMNS = (
     "cycle,seen_miou,unseen_miou,hm,pl_precision,pl_recall,pl_coverage,seconds"
@@ -78,33 +77,25 @@ def _train_loop(
     cfg: TrainConfig,
     iters: int,
     rng,
-    state: OptimizerState | None = None,
-) -> tuple[BackboneParams, OptimizerState]:
+) -> BackboneParams:
     """SGD with batch gradients normalized by the contributing pixel count."""
-    if state is None:
-        state = init_optimizer(
-            params, iters, cfg.base_lr, cfg.momentum, cfg.weight_decay, cfg.power
-        )
+    state = init_optimizer(params, iters, cfg)
     for batch in _batch_indices(len(samples), cfg.batch_size, iters, rng):
         sum_w = [np.zeros_like(w) for w in params.weights]
         sum_b = [np.zeros_like(b) for b in params.biases]
-        loss, pixels = 0.0, 0
+        pixels = 0
         for idx in batch:
             s = samples[idx]
             ybar = None if pseudo is None else pseudo[idx].labels
             res = backward(s.image, params, table, space, s.train_mask, ybar, cfg.lam)
             for acc, g in zip(sum_w + sum_b, res.grad_weights + res.grad_biases):
                 acc += g
-            loss += res.loss
             pixels += res.contributing_pixels
         if pixels == 0:
             state.iteration += 1  # keep the schedule aligned, no step
             continue
-        scaled = BackwardResult(
-            [g / pixels for g in sum_w], [g / pixels for g in sum_b], loss, pixels, 0
-        )
-        params, state = sgd_step(params, scaled, state)
-    return params, state
+        sgd_step(params, [g / pixels for g in sum_w], [g / pixels for g in sum_b], state)
+    return params
 
 
 def train_base(dataset, config: TrainConfig) -> BackboneParams:
@@ -114,11 +105,10 @@ def train_base(dataset, config: TrainConfig) -> BackboneParams:
     params = init_backbone(
         c_in, dataset.table.dim, config.hidden, config.window, rng
     )
-    params, _ = _train_loop(
+    return _train_loop(
         params, dataset.train, None, dataset.table, dataset.space,
         config, config.base_iters, rng,
     )
-    return params
 
 
 def generate_pseudo(
@@ -150,22 +140,18 @@ def run_cycle(
     strategy: str,
     config: TrainConfig,
     cycle: int,
-    state: OptimizerState | None = None,
-) -> tuple[BackboneParams, list[PseudoMask], OptimizerState]:
+) -> tuple[BackboneParams, list[PseudoMask]]:
     """One self-training cycle: pseudo-label with the frozen previous model,
     then fine-tune a copy of it on real + pseudo supervision."""
     if cycle < 1:
         raise ValueError("cycles are numbered from 1 (0 is base training)")
     pseudo = generate_pseudo(prev_params, dataset, specs, strategy, cycle)
     rng = np.random.default_rng([config.seed, TAG_CYCLE, cycle])
-    params = prev_params.copy()
-    if config.reset_per_cycle:
-        state = None
-    params, state = _train_loop(
-        params, dataset.train, pseudo, dataset.table, dataset.space,
-        config, config.cycle_iters, rng, state,
+    params = _train_loop(
+        prev_params.copy(), dataset.train, pseudo, dataset.table, dataset.space,
+        config, config.cycle_iters, rng,
     )
-    return params, pseudo, state
+    return params, pseudo
 
 
 def _eval_pairs(dataset):
@@ -185,12 +171,16 @@ def strict_train(
     start_cycle: int = 0,
     start_params: BackboneParams | None = None,
     history: list[CycleRecord] | None = None,
+    timings: bool = False,
 ) -> tuple[BackboneParams, list[CycleRecord]]:
     """Full pipeline: base training then ``config.cycles`` self-training cycles.
 
-    Pass ``start_cycle`` t with the cycle t-1 checkpoint as ``start_params``
-    (and the prior history rows) to resume; the result matches an
-    uninterrupted run because each cycle has its own RNG stream.
+    With ``checkpoint_dir``, every finished cycle t rewrites ``history.csv``
+    there and then saves ``cycle_<t>.ckpt``, so a killed run can be resumed
+    from its last checkpoint.  Pass ``start_cycle`` t with the cycle t-1
+    checkpoint as ``start_params`` (and the prior history rows) to resume;
+    the result matches an uninterrupted run because each cycle has its own
+    RNG stream.
     """
     pairs = _eval_pairs(dataset)
     records = list(history or [])
@@ -198,6 +188,8 @@ def strict_train(
     def checkpoint(cycle, params):
         if checkpoint_dir is not None:
             os.makedirs(checkpoint_dir, exist_ok=True)
+            # history first: a checkpoint on disk implies its history row is too
+            write_history_csv(records, os.path.join(checkpoint_dir, HISTORY_FILE), timings)
             save_checkpoint(os.path.join(checkpoint_dir, f"cycle_{cycle:03d}.ckpt"), params)
 
     if start_cycle == 0:
@@ -214,17 +206,9 @@ def strict_train(
         params = start_params
         first = start_cycle
 
-    state = None
-    if not config.reset_per_cycle:
-        state = init_optimizer(
-            params, config.cycle_iters * config.cycles,
-            config.base_lr, config.momentum, config.weight_decay, config.power,
-        )
-        state.iteration = (first - 1) * config.cycle_iters
-
     for t in range(first, config.cycles + 1):
         t0 = time.perf_counter()
-        params, pseudo, state = run_cycle(params, dataset, specs, strategy, config, t, state)
+        params, pseudo = run_cycle(params, dataset, specs, strategy, config, t)
         quality = dataset_pseudo_quality(pseudo, dataset.train)
         rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma)
         records.append(CycleRecord(
@@ -241,12 +225,13 @@ def strict_train(
 def write_history_csv(records: list[CycleRecord], path, timings: bool = False) -> None:
     """Schema comment + header + one row per cycle.  Undefined rates are
     empty fields; seconds is 0.000 unless ``timings`` (reruns stay
-    byte-identical)."""
+    byte-identical).  The file is replaced atomically."""
 
     def rate(v):
         return "" if v is None else f"{v:.4f}"
 
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii", newline="") as fh:
         fh.write(HISTORY_SCHEMA + "\n")
         fh.write(HISTORY_COLUMNS + "\n")
         for r in records:
@@ -255,6 +240,7 @@ def write_history_csv(records: list[CycleRecord], path, timings: bool = False) -
                 f"{r.cycle},{r.seen_miou:.4f},{r.unseen_miou:.4f},{r.hm:.4f},"
                 f"{rate(r.pl_precision)},{rate(r.pl_recall)},{rate(r.pl_coverage)},{secs}\n"
             )
+    os.replace(tmp, path)
 
 
 def read_history_csv(path) -> list[CycleRecord]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from gzlss.label_space import (
     validate_eval_mask,
     validate_training_mask,
 )
-from gzlss.model import BackboneParams, load_checkpoint, save_checkpoint
+from gzlss.model import BackboneParams, save_checkpoint
 
 FEAT_MAGIC = b"GZFT"
 SHAPE_KINDS = ("rect", "ellipse")
@@ -193,15 +194,19 @@ def _split_balanced(rng, cfg, space, prototypes, proto_bg, count, required):
     )
 
 
-def generate(config: GeneratorConfig) -> Dataset:
-    """Build a dataset from scratch; fully determined by ``config``."""
-    cfg = config
-    space = build_label_space(
+def _label_space(cfg: GeneratorConfig) -> LabelSpace:
+    return build_label_space(
         range(1, cfg.num_seen + 1),
         range(cfg.num_seen + 1, cfg.num_seen + cfg.num_unseen + 1),
         cfg.background,
         cfg.background_id if cfg.background == BACKGROUND_SEEN else None,
     )
+
+
+def generate(config: GeneratorConfig) -> Dataset:
+    """Build a dataset from scratch; fully determined by ``config``."""
+    cfg = config
+    space = _label_space(cfg)
     rng = np.random.default_rng([cfg.seed, 0x5D])
 
     # unit-norm word embeddings, then a full-rank hidden map
@@ -349,23 +354,13 @@ def load_hidden_map(path: str) -> HiddenMap:
 
 
 def _write_meta(cfg: GeneratorConfig, path: str) -> None:
-    pairs = [
-        ("format_version", 1),
-        ("height", cfg.height), ("width", cfg.width),
-        ("channels", cfg.channels), ("embed_dim", cfg.embed_dim),
-        ("num_seen", cfg.num_seen), ("num_unseen", cfg.num_unseen),
-        ("noise", repr(cfg.noise)),
-        ("shapes_min", cfg.shapes_min), ("shapes_max", cfg.shapes_max),
-        ("shape_kinds", ",".join(cfg.shape_kinds)),
-        ("cooccurrence", repr(cfg.cooccurrence)),
-        ("train_images", cfg.train_images), ("eval_images", cfg.eval_images),
-        ("min_class_images", cfg.min_class_images),
-        ("background", cfg.background), ("background_id", cfg.background_id),
-        ("seed", cfg.seed),
-    ]
+    """format_version, then one key=value line per field in declaration
+    order; tuples are comma lists, and str() of a float is its exact repr."""
     with open(path, "w", encoding="ascii") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={value}\n")
+        fh.write("format_version=1\n")
+        for f in fields(GeneratorConfig):
+            value = getattr(cfg, f.name)
+            fh.write(f"{f.name}={','.join(value) if isinstance(value, tuple) else value}\n")
 
 
 def _read_meta(path: str) -> GeneratorConfig:
@@ -381,22 +376,15 @@ def _read_meta(path: str) -> GeneratorConfig:
                 raise FormatError(f"{path}: bad metadata line {line!r}")
             key, value = line.split("=", 1)
             kv[key] = value
+    types = typing.get_type_hints(GeneratorConfig)
     try:
         if int(kv.pop("format_version")) != 1:
             raise FormatError(f"{path}: unsupported format version")
-        return GeneratorConfig(
-            height=int(kv["height"]), width=int(kv["width"]),
-            channels=int(kv["channels"]), embed_dim=int(kv["embed_dim"]),
-            num_seen=int(kv["num_seen"]), num_unseen=int(kv["num_unseen"]),
-            noise=float(kv["noise"]),
-            shapes_min=int(kv["shapes_min"]), shapes_max=int(kv["shapes_max"]),
-            shape_kinds=tuple(kv["shape_kinds"].split(",")),
-            cooccurrence=float(kv["cooccurrence"]),
-            train_images=int(kv["train_images"]), eval_images=int(kv["eval_images"]),
-            min_class_images=int(kv["min_class_images"]),
-            background=kv["background"], background_id=int(kv["background_id"]),
-            seed=int(kv["seed"]),
-        )
+        return GeneratorConfig(**{
+            f.name: tuple(kv[f.name].split(",")) if types[f.name] == tuple[str, ...]
+            else types[f.name](kv[f.name])
+            for f in fields(GeneratorConfig)
+        })
     except KeyError as exc:
         raise FormatError(f"{path}: missing metadata key {exc}") from exc
     except ValueError as exc:
@@ -457,12 +445,7 @@ def load_dataset(path: str, include_hidden: bool = False) -> Dataset:
     training masks.  Eval ground truth is always loaded.
     """
     cfg = _read_meta(os.path.join(path, _META_NAME))
-    space = build_label_space(
-        range(1, cfg.num_seen + 1),
-        range(cfg.num_seen + 1, cfg.num_seen + cfg.num_unseen + 1),
-        cfg.background,
-        cfg.background_id if cfg.background == BACKGROUND_SEEN else None,
-    )
+    space = _label_space(cfg)
     table = load_embeddings(os.path.join(path, _EMBED_NAME), space)
     train = _load_split(path, "train", cfg.train_images, include_hidden, space)
     evals = _load_split(path, "eval", cfg.eval_images, True, space)

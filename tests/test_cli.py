@@ -1,11 +1,18 @@
 """CLI: config layering, exit codes, and a tiny end-to-end pipeline."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gzlss import cli
+from gzlss import self_training as st
 from gzlss import synthetic_data as sd
+from gzlss.model import TrainConfig, load_checkpoint
 from gzlss.self_training import read_history_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = ["--height", "16", "--width", "16", "--channels", "6", "--embed_dim", "4",
         "--num_seen", "3", "--num_unseen", "2", "--noise", "0.15",
@@ -193,3 +200,98 @@ def test_ablate_augs_grid(tmp_path, capsys):
     assert names == ["none", "mirror", "down", "up", "random",
                      "mirror+down", "mirror+up", "mirror+random"]
     capsys.readouterr()
+
+
+def test_every_dataclass_field_is_a_key():
+    """The CLI keys are the GeneratorConfig and TrainConfig fields, defaults included."""
+    renames = {"seed": "data_seed"}
+    for f in dataclasses.fields(sd.GeneratorConfig):
+        key = renames.get(f.name, f.name)
+        want = "auto" if key == "background" else f.default
+        assert cli.SCHEMA[key][1] == want, key
+    for f in dataclasses.fields(TrainConfig):
+        assert cli.SCHEMA[f.name][1] == f.default, f.name
+    pipeline = {"specs", "strategy", "gamma", "timings"}
+    n_fields = len(dataclasses.fields(sd.GeneratorConfig)) + len(dataclasses.fields(TrainConfig))
+    assert len(cli.SCHEMA) == n_fields + len(pipeline)
+    assert pipeline <= set(cli.SCHEMA)
+
+
+def test_standard_meta_golden_bytes(tmp_path):
+    cfg = cli.load_config(str(CONFIGS / "standard.cfg"), [])
+    path = tmp_path / "meta.txt"
+    sd._write_meta(cli._build(sd.GeneratorConfig, cfg), str(path))
+    assert path.read_bytes() == (
+        b"format_version=1\nheight=32\nwidth=32\nchannels=16\nembed_dim=12\n"
+        b"num_seen=6\nnum_unseen=3\nnoise=0.45\nshapes_min=4\nshapes_max=7\n"
+        b"shape_kinds=rect,ellipse\ncooccurrence=0.7\ntrain_images=200\n"
+        b"eval_images=50\nmin_class_images=3\nbackground=seen\nbackground_id=1\nseed=0\n"
+    )
+
+
+def test_non_default_config_round_trip(tmp_path, capsys):
+    """Tuple and float keys survive the CLI, meta.txt and run.cfg unchanged."""
+    data = tmp_path / "data"
+    odd = ["--shape_kinds", "ellipse", "--noise", "0.1234567890123457"]
+    assert cli.main(["gen-data", "--out", str(data)] + TINY + odd) == 0
+    cfg = sd.load_dataset(str(data)).config
+    assert cfg.shape_kinds == ("ellipse",)
+    assert cfg.noise == 0.1234567890123457
+
+    run = tmp_path / "run"
+    args = FAST + ["--hidden", "5", "--cycles", "1"]
+    assert cli.main(["selftrain", "--data", str(data), "--out", str(run)] + args) == 0
+    shapes = [w.shape for w in load_checkpoint(run / "model.ckpt").weights]
+    assert shapes == [(5, 6), (4, 5)]
+    want = cli.load_config(None, args)
+    assert want["hidden"] == (5,)
+    assert cli.load_config(str(run / "run.cfg"), []) == want
+    capsys.readouterr()
+
+
+def test_killed_run_resumes_to_the_same_history(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "data")
+    cli.main(["gen-data", "--out", data] + TINY)
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert cli.main(["selftrain", "--data", data, "--out", str(full)] + FAST) == 0
+
+    run_cycle = st.run_cycle
+
+    def killed_at_cycle_2(*args):
+        if args[5] == 2:
+            raise RuntimeError("killed")
+        return run_cycle(*args)
+
+    monkeypatch.setattr(st, "run_cycle", killed_at_cycle_2)
+    with pytest.raises(RuntimeError, match="killed"):
+        cli.main(["selftrain", "--data", data, "--out", str(cut)] + FAST)
+    monkeypatch.undo()
+    assert [r.cycle for r in read_history_csv(cut / "history.csv")] == [0, 1]
+
+    assert cli.main(["selftrain", "--data", data, "--out", str(cut),
+                     "--resume", "2"] + FAST) == 0
+    assert (cut / "history.csv").read_bytes() == (full / "history.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_resume_refuses_changed_settings(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    cli.main(["gen-data", "--out", data] + TINY)
+    run = str(tmp_path / "run")
+    args = FAST + ["--window", "3"]
+    assert cli.main(["selftrain", "--data", data, "--out", run] + args) == 0
+    capsys.readouterr()
+    assert cli.main(["selftrain", "--data", data, "--out", run, "--resume", "2"]
+                    + args + ["--lam", "9", "--window", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "lam=9.0" in err and "lam=1.0" in err
+    # timings only changes the seconds column, so it may differ
+    assert cli.main(["selftrain", "--data", data, "--out", run, "--resume", "2"]
+                    + args + ["--timings", "true"]) == 0
+    capsys.readouterr()
+
+
+def test_removed_reset_per_cycle_key_is_unknown(tmp_path, capsys):
+    assert cli.main(["gen-data", "--out", str(tmp_path / "d"),
+                     "--reset_per_cycle", "false"]) == 1
+    assert "unknown configuration key: 'reset_per_cycle'" in capsys.readouterr().err

@@ -135,12 +135,12 @@ def test_embeddings_receive_no_gradient(space):
     frozen = {c: vecs[c - 1].copy() for c in space.all_ids}
     table = make_embedding_table({c: vecs[c - 1] for c in space.all_ids})
     params = model.init_backbone(3, 3, rng=rng)
-    state = model.init_optimizer(params, 10, base_lr=0.1)
+    state = model.init_optimizer(params, 10, model.TrainConfig(base_lr=0.1))
     image = rng.standard_normal((3, 4, 4))
     y = rng.integers(0, 4, size=(4, 4))
     for _ in range(3):
         res = model.backward(image, params, table, space, y, None, 1.0)
-        model.sgd_step(params, res, state)
+        model.sgd_step(params, res.grad_weights, res.grad_biases, state)
     for c in space.all_ids:
         np.testing.assert_array_equal(table.vectors[c], frozen[c])
 
@@ -159,15 +159,13 @@ def test_poly_lr_schedule():
 def test_sgd_step_hand_case():
     """One parameter, two steps, checked against the update rule by hand."""
     params = model.BackboneParams([np.array([[1.0]])], [np.array([0.0])])
-    state = model.OptimizerState(
-        [np.zeros((1, 1))], [np.zeros(1)], max_iter=10,
-        momentum=0.5, weight_decay=0.1, base_lr=0.2, power=1.0,
-    )
-    grads = model.BackwardResult([np.array([[2.0]])], [np.array([0.0])], 0.0, 1, 0)
-    model.sgd_step(params, grads, state)
+    config = model.TrainConfig(momentum=0.5, weight_decay=0.1, base_lr=0.2, power=1.0)
+    state = model.init_optimizer(params, 10, config)
+    grad_w, grad_b = [np.array([[2.0]])], [np.array([0.0])]
+    model.sgd_step(params, grad_w, grad_b, state)
     # lr0 = 0.2, v = -0.2*(2 + 0.1*1) = -0.42, theta = 0.58
     assert abs(params.weights[0][0, 0] - 0.58) < 1e-12
-    model.sgd_step(params, grads, state)
+    model.sgd_step(params, grad_w, grad_b, state)
     # lr1 = 0.2*0.9 = 0.18, v = 0.5*-0.42 - 0.18*(2 + 0.058) = -0.58044
     assert abs(params.weights[0][0, 0] - (0.58 - 0.58044)) < 1e-12
     assert state.iteration == 2
@@ -221,22 +219,16 @@ def test_window_stack_neighborhood():
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(19)
-    params = model.init_backbone(4, 3, (5,), rng=rng)
-    state = model.init_optimizer(params, 70, base_lr=0.01)
-    state.velocity_w[0] += rng.standard_normal(state.velocity_w[0].shape)
-    state.iteration = 12
+    params = model.init_backbone(4, 3, (5,), window=3, rng=rng)
     path = tmp_path / "m.ckpt"
-    model.save_checkpoint(path, params, state)
-    back, bstate = model.load_checkpoint(path)
-    assert back.window == params.window
+    model.save_checkpoint(path, params)
+    back = model.load_checkpoint(path)
+    assert back.window == params.window == 3
     for a, b in zip(back.weights + back.biases, params.weights + params.biases):
         np.testing.assert_array_equal(a, b)
-    assert bstate.iteration == 12 and bstate.max_iter == 70
-    np.testing.assert_array_equal(bstate.velocity_w[0], state.velocity_w[0])
-
-    model.save_checkpoint(path, params)  # no optimizer state
-    _, none_state = model.load_checkpoint(path)
-    assert none_state is None
+    # weights only: header, two layer shapes, then the float64 payload
+    n_floats = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+    assert path.stat().st_size == 8 + 12 + 2 * 8 + 8 * n_floats
 
 
 def test_checkpoint_errors(tmp_path):
@@ -254,3 +246,9 @@ def test_checkpoint_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         model.load_checkpoint(trunc)
     assert "byte" in str(err.value)
+
+    # version 1 files (weights plus an optimizer-state section) are refused
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:] + b"\x00")
+    with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        model.load_checkpoint(v1)

@@ -86,7 +86,7 @@ def test_resume_matches_uninterrupted(tiny, tmp_path):
 
     ckdir = tmp_path / "run"
     st.strict_train(tiny, _tc(cycles=1), SPECS, checkpoint_dir=str(ckdir))
-    mid, _ = load_checkpoint(ckdir / "cycle_001.ckpt")
+    mid = load_checkpoint(ckdir / "cycle_001.ckpt")
     resumed, _ = st.strict_train(tiny, tc, SPECS, start_cycle=2, start_params=mid)
     for a, b in zip(full_params.weights + full_params.biases,
                     resumed.weights + resumed.biases):
@@ -110,17 +110,9 @@ def test_checkpoints_written(tiny, tmp_path):
     st.strict_train(tiny, _tc(cycles=2), SPECS, checkpoint_dir=str(ckdir))
     for t in range(3):
         assert (ckdir / f"cycle_{t:03d}.ckpt").exists()
-
-
-def test_no_reset_keeps_one_schedule(tiny):
-    """Without per-cycle resets the momentum/schedule persists; still deterministic."""
-    tc = _tc(reset_per_cycle=False)
-    p1, r1 = st.strict_train(tiny, tc, SPECS)
-    p2, r2 = st.strict_train(tiny, tc, SPECS)
-    for a, b in zip(p1.weights, p2.weights):
-        np.testing.assert_array_equal(a, b)
-    p3, _ = st.strict_train(tiny, _tc(), SPECS)
-    assert any(not np.array_equal(a, b) for a, b in zip(p1.weights, p3.weights))
+    # history is rewritten after every cycle, through a temporary file
+    assert [r.cycle for r in st.read_history_csv(ckdir / st.HISTORY_FILE)] == [0, 1, 2]
+    assert [p.name for p in ckdir.iterdir() if p.suffix == ".tmp"] == []
 
 
 def test_fully_labeled_dataset_degenerates_to_seen_only():

@@ -164,7 +164,7 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(back.hidden.background_vector, ds.hidden.background_vector)
 
     # the stored oracle checkpoint matches a fresh pseudo-inverse
-    params, _ = load_checkpoint(root / "oracle.ckpt")
+    params = load_checkpoint(root / "oracle.ckpt")
     np.testing.assert_array_equal(params.weights[0], sd.oracle_backbone(ds.hidden).weights[0])
 
 
