@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import sys
 import typing
 
 import numpy as np
 
-from gzlss import augmentation, self_training, synthetic_data
+from gzlss import augmentation, parallel, self_training, synthetic_data
 from gzlss.errors import ConfigError, FormatError, NumericError
 from gzlss.label_space import BACKGROUND_IGNORED, BACKGROUND_SEEN
 from gzlss.metrics import evaluate_pairs, summary_line, write_report_csv
@@ -143,10 +144,27 @@ def _format(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _check_resume_settings(cfg: dict, path: str) -> None:
-    """A resumed run must use the settings its ``run.cfg`` recorded; only
-    ``timings`` may change, since it touches no result."""
+def _dataset_line(data: str) -> str:
+    """The ``run.cfg`` comment naming a dataset by the sha256 of its
+    ``meta.txt`` and ``embeddings.txt``, from which every sample follows."""
+    digest = hashlib.sha256()
+    for name in ("meta.txt", "embeddings.txt"):
+        with open(os.path.join(data, name), "rb") as fh:
+            digest.update(fh.read())
+    return f"# dataset sha256={digest.hexdigest()}\n"
+
+
+def _check_resume_settings(cfg: dict, path: str, data: str) -> None:
+    """A resumed run must use the dataset and the settings its ``run.cfg``
+    recorded; only ``timings`` may change, since it touches no result."""
     saved = _read_config_file(path)
+    with open(path, encoding="utf-8") as fh:
+        recorded = fh.readline()
+    if recorded != _dataset_line(data):
+        raise ConfigError(
+            f"--resume with dataset {data}, but the run used another one "
+            f"({path} records {recorded.strip() or 'nothing'})"
+        )
     for key in SCHEMA:
         if key != "timings" and saved.get(key) != cfg[key]:
             raise ConfigError(
@@ -169,7 +187,7 @@ def _has_hidden(path: str) -> bool:
 # subcommands
 
 
-def _cmd_gen_data(args, cfg: dict) -> int:
+def _cmd_gen_data(args, cfg: dict, pool) -> int:
     if cfg["background"] == "auto":
         cfg = dict(cfg, background=BACKGROUND_IGNORED)
     ds = synthetic_data.generate(_build(synthetic_data.GeneratorConfig, cfg))
@@ -178,23 +196,23 @@ def _cmd_gen_data(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_train_base(args, cfg: dict) -> int:
+def _cmd_train_base(args, cfg: dict, pool) -> int:
     ds = _load_dataset(args.data)
-    params = self_training.train_base(ds, _build(TrainConfig, cfg))
+    params = self_training.train_base(ds, _build(TrainConfig, cfg), pool)
     save_checkpoint(args.out, params)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"])
+                         ds.table, ds.space, cfg["gamma"], pool=pool)
     print(f"saved {args.out}")
     print(summary_line(rep))
     return 0
 
 
-def _cmd_pseudo(args, cfg: dict) -> int:
+def _cmd_pseudo(args, cfg: dict, pool) -> int:
     include_hidden = _has_hidden(args.data)
     ds = _load_dataset(args.data, include_hidden)
     params = load_checkpoint(args.model)
     pseudo = self_training.generate_pseudo(
-        params, ds, _pipeline_specs(cfg), cfg["strategy"], cycle=1
+        params, ds, _pipeline_specs(cfg), cfg["strategy"], cycle=1, pool=pool
     )
     os.makedirs(args.out, exist_ok=True)
     for i, pm in enumerate(pseudo):
@@ -209,7 +227,7 @@ def _cmd_pseudo(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_selftrain(args, cfg: dict) -> int:
+def _cmd_selftrain(args, cfg: dict, pool) -> int:
     ds = _load_dataset(args.data, _has_hidden(args.data))
     tc = _build(TrainConfig, cfg)
     specs = _pipeline_specs(cfg)
@@ -218,17 +236,18 @@ def _cmd_selftrain(args, cfg: dict) -> int:
 
     start_params, history = None, None
     if args.resume > 0:
-        _check_resume_settings(cfg, run_cfg)
+        _check_resume_settings(cfg, run_cfg, args.data)
         start_params = load_checkpoint(os.path.join(args.out, f"cycle_{args.resume - 1:03d}.ckpt"))
         history = [r for r in self_training.read_history_csv(
             os.path.join(args.out, self_training.HISTORY_FILE)) if r.cycle < args.resume]
     else:
         with open(run_cfg, "w", encoding="utf-8") as fh:
+            fh.write(_dataset_line(args.data))
             fh.writelines(f"{key}={_format(cfg[key])}\n" for key in SCHEMA)
     params, records = strict_train(
         ds, tc, specs, cfg["strategy"], cfg["gamma"],
         checkpoint_dir=args.out, start_cycle=args.resume, start_params=start_params,
-        history=history, timings=cfg["timings"],
+        history=history, timings=cfg["timings"], pool=pool,
     )
     save_checkpoint(os.path.join(args.out, "model.ckpt"), params)
     last = records[-1]
@@ -250,12 +269,12 @@ def _eval_exclusions(cfg: dict, ds) -> tuple:
     )
 
 
-def _cmd_eval(args, cfg: dict) -> int:
+def _cmd_eval(args, cfg: dict, pool) -> int:
     ds = _load_dataset(args.data)
     params = load_checkpoint(args.model)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
                          ds.table, ds.space, cfg["gamma"],
-                         exclude_ids=_eval_exclusions(cfg, ds))
+                         exclude_ids=_eval_exclusions(cfg, ds), pool=pool)
     if args.report:
         write_report_csv(rep, args.report)
     print(summary_line(rep))
@@ -275,14 +294,14 @@ ABLATION_GRID = (
 )
 
 
-def _cmd_ablate_augs(args, cfg: dict) -> int:
+def _cmd_ablate_augs(args, cfg: dict, pool) -> int:
     ds = _load_dataset(args.data, _has_hidden(args.data))
     tc = _build(TrainConfig, cfg)
     rows = []
     for name, mirror, scaling in ABLATION_GRID:
         rng = np.random.default_rng([tc.seed, 3, len(rows)])
         specs = augmentation.regime_specs(mirror, scaling, rng)
-        _, records = strict_train(ds, tc, specs, "strict", cfg["gamma"])
+        _, records = strict_train(ds, tc, specs, "strict", cfg["gamma"], pool=pool)
         last = records[-1]
         rows.append((name, last.seen_miou, last.unseen_miou, last.hm))
         print(f"{name:<16} S={last.seen_miou:.1f} U={last.unseen_miou:.1f} HM={last.hm:.1f}")
@@ -339,7 +358,11 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         cfg = load_config(args.config, extras)
-        return args.func(args, cfg)
+        # one pool per command; gen-data runs no model and starts no worker
+        workers = 1 if args.func is _cmd_gen_data else min(parallel.usable_cpus(),
+                                                               cfg["batch_size"])
+        with parallel.Pool(workers) as pool:
+            return args.func(args, cfg, pool)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from gzlss.label_space import EmbeddingTable, LabelSpace
 from gzlss.model import BackboneParams, infer_gzs
+from gzlss.parallel import Cached, Pool, map_items
 
 REPORT_SCHEMA = "# gzlss report schema v1"
 
@@ -106,17 +108,21 @@ def evaluate_pairs(
     space: LabelSpace,
     gamma: float = 0.0,
     exclude_ids: tuple = (),
+    pool: Pool | None = None,
 ) -> GzlssReport:
     """Run calibrated GZS inference over (image, gt) pairs and score them.
 
     Classes in ``exclude_ids`` are dropped from scoring: their ground-truth
     pixels are ignored and they are left out of the seen/unseen means.
     """
+    infer = partial(infer_gzs, params=params, table=table, space=space, gamma=gamma)
+    preds = map_items(pool, infer, [{"image": Cached(("eval", i), image)}
+                                    for i, (image, _) in enumerate(pairs)])
     cm = new_confusion(space)
-    for image, gt in pairs:
+    for pred, (_, gt) in zip(preds, pairs):
         if exclude_ids:
             gt = np.where(np.isin(gt, exclude_ids), 0, gt)
-        accumulate(infer_gzs(image, params, table, space, gamma), gt, cm)
+        accumulate(pred, gt, cm)
     return build_report(cm, space, exclude_ids)
 
 

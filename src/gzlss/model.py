@@ -12,6 +12,7 @@ All training arithmetic is float64.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -423,7 +424,10 @@ def argmax_labels(feat: np.ndarray, table: EmbeddingTable, ids) -> np.ndarray:
 
 
 def save_checkpoint(path, params: BackboneParams) -> None:
-    with open(path, "wb") as fh:
+    """Write ``<path>.tmp``, then replace ``path`` with it: a crash leaves
+    either the previous checkpoint or the new one, never a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, params.window, len(params.weights)))
         for w in params.weights:
@@ -431,6 +435,7 @@ def save_checkpoint(path, params: BackboneParams) -> None:
         for w, b in zip(params.weights, params.biases):
             fh.write(w.astype("<f8").tobytes())
             fh.write(b.astype("<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def _read_exact(fh, nbytes: int, path, what: str) -> bytes:

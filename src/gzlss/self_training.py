@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from gzlss.model import (
     save_checkpoint,
     sgd_step,
 )
+from gzlss.parallel import Cached, Pool, map_items
 from gzlss.pseudo_labeler import PseudoMask, generate, unlabeled_pixels
 
 TAG_BASE = 1
@@ -68,6 +70,13 @@ def _batch_indices(n: int, batch_size: int, iters: int, rng):
         order = order[batch_size:]
 
 
+def _train_item(samples, idx: int) -> dict:
+    """Training image ``idx`` and its mask as the ``image`` and ``y``
+    keywords, which pool workers keep once they have them."""
+    return {"image": Cached(("image", int(idx)), samples[idx].image),
+            "y": Cached(("mask", int(idx)), samples[idx].train_mask)}
+
+
 def _train_loop(
     params: BackboneParams,
     samples,
@@ -77,17 +86,21 @@ def _train_loop(
     cfg: TrainConfig,
     iters: int,
     rng,
+    pool: Pool | None = None,
 ) -> BackboneParams:
-    """SGD with batch gradients normalized by the contributing pixel count."""
+    """SGD with batch gradients normalized by the contributing pixel count.
+
+    The per-image gradients come back in batch order and are summed here
+    in that order, so the sums do not depend on the pool."""
     state = init_optimizer(params, iters, cfg)
+    grads = partial(backward, params=params, table=table, space=space, lam=cfg.lam)
     for batch in _batch_indices(len(samples), cfg.batch_size, iters, rng):
         sum_w = [np.zeros_like(w) for w in params.weights]
         sum_b = [np.zeros_like(b) for b in params.biases]
         pixels = 0
-        for idx in batch:
-            s = samples[idx]
-            ybar = None if pseudo is None else pseudo[idx].labels
-            res = backward(s.image, params, table, space, s.train_mask, ybar, cfg.lam)
+        items = [dict(_train_item(samples, idx), ybar=None if pseudo is None
+                      else Cached(("pseudo", int(idx)), pseudo[idx].labels)) for idx in batch]
+        for res in map_items(pool, grads, items):
             for acc, g in zip(sum_w + sum_b, res.grad_weights + res.grad_biases):
                 acc += g
             pixels += res.contributing_pixels
@@ -98,7 +111,7 @@ def _train_loop(
     return params
 
 
-def train_base(dataset, config: TrainConfig) -> BackboneParams:
+def train_base(dataset, config: TrainConfig, pool: Pool | None = None) -> BackboneParams:
     """Supervised training on seen-class masks only (cycle 0 model)."""
     rng = np.random.default_rng([config.seed, TAG_BASE])
     c_in = dataset.train[0].image.shape[0]
@@ -107,20 +120,19 @@ def train_base(dataset, config: TrainConfig) -> BackboneParams:
     )
     return _train_loop(
         params, dataset.train, None, dataset.table, dataset.space,
-        config, config.base_iters, rng,
+        config, config.base_iters, rng, pool,
     )
 
 
 def generate_pseudo(
-    params: BackboneParams, dataset, specs, strategy: str, cycle: int
+    params: BackboneParams, dataset, specs, strategy: str, cycle: int,
+    pool: Pool | None = None,
 ) -> list[PseudoMask]:
     """Pseudo-labels for every training image from one frozen generator."""
-    tag = f"cycle{cycle}"
-    return [
-        generate(strategy, params, s.image, s.train_mask, specs,
-                 dataset.table, dataset.space, generator_id=tag)
-        for s in dataset.train
-    ]
+    label = partial(generate, strategy, params, specs=specs, table=dataset.table,
+                    space=dataset.space, generator_id=f"cycle{cycle}")
+    return list(map_items(pool, label, [_train_item(dataset.train, i)
+                                        for i in range(len(dataset.train))]))
 
 
 def dataset_pseudo_quality(pseudo: list[PseudoMask], samples) -> PseudoQuality | None:
@@ -140,16 +152,17 @@ def run_cycle(
     strategy: str,
     config: TrainConfig,
     cycle: int,
+    pool: Pool | None = None,
 ) -> tuple[BackboneParams, list[PseudoMask]]:
     """One self-training cycle: pseudo-label with the frozen previous model,
     then fine-tune a copy of it on real + pseudo supervision."""
     if cycle < 1:
         raise ValueError("cycles are numbered from 1 (0 is base training)")
-    pseudo = generate_pseudo(prev_params, dataset, specs, strategy, cycle)
+    pseudo = generate_pseudo(prev_params, dataset, specs, strategy, cycle, pool)
     rng = np.random.default_rng([config.seed, TAG_CYCLE, cycle])
     params = _train_loop(
         prev_params.copy(), dataset.train, pseudo, dataset.table, dataset.space,
-        config, config.cycle_iters, rng,
+        config, config.cycle_iters, rng, pool,
     )
     return params, pseudo
 
@@ -172,6 +185,7 @@ def strict_train(
     start_params: BackboneParams | None = None,
     history: list[CycleRecord] | None = None,
     timings: bool = False,
+    pool: Pool | None = None,
 ) -> tuple[BackboneParams, list[CycleRecord]]:
     """Full pipeline: base training then ``config.cycles`` self-training cycles.
 
@@ -194,8 +208,8 @@ def strict_train(
 
     if start_cycle == 0:
         t0 = time.perf_counter()
-        params = train_base(dataset, config)
-        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma)
+        params = train_base(dataset, config, pool)
+        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma, pool=pool)
         records.append(CycleRecord(0, rep.seen_miou, rep.unseen_miou, rep.hm,
                                    None, None, None, time.perf_counter() - t0))
         checkpoint(0, params)
@@ -208,9 +222,9 @@ def strict_train(
 
     for t in range(first, config.cycles + 1):
         t0 = time.perf_counter()
-        params, pseudo = run_cycle(params, dataset, specs, strategy, config, t)
+        params, pseudo = run_cycle(params, dataset, specs, strategy, config, t, pool)
         quality = dataset_pseudo_quality(pseudo, dataset.train)
-        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma)
+        rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma, pool=pool)
         records.append(CycleRecord(
             t, rep.seen_miou, rep.unseen_miou, rep.hm,
             None if quality is None or quality.precision is None else 100.0 * quality.precision,

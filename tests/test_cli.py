@@ -291,6 +291,22 @@ def test_resume_refuses_changed_settings(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resume_refuses_another_dataset(tmp_path, capsys):
+    """Datasets that differ only in noise: resuming a run on the other one
+    would mix two datasets in one history."""
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(["gen-data", "--out", a] + TINY + ["--noise", "0.1"]) == 0
+    assert cli.main(["gen-data", "--out", b] + TINY + ["--noise", "0.4"]) == 0
+    run = str(tmp_path / "run")
+    assert cli.main(["selftrain", "--data", a, "--out", run] + FAST) == 0
+    assert (tmp_path / "run" / "run.cfg").read_text().startswith("# dataset sha256=")
+    capsys.readouterr()
+    assert cli.main(["selftrain", "--data", b, "--out", run, "--resume", "2"] + FAST) == 1
+    assert f"--resume with dataset {b}" in capsys.readouterr().err
+    assert cli.main(["selftrain", "--data", a, "--out", run, "--resume", "2"] + FAST) == 0
+    capsys.readouterr()
+
+
 def test_removed_reset_per_cycle_key_is_unknown(tmp_path, capsys):
     assert cli.main(["gen-data", "--out", str(tmp_path / "d"),
                      "--reset_per_cycle", "false"]) == 1

@@ -231,6 +231,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.stat().st_size == 8 + 12 + 2 * 8 + 8 * n_floats
 
 
+def test_failed_checkpoint_replace_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    old = model.init_backbone(3, 2, rng=np.random.default_rng(1))
+    model.save_checkpoint(path, old)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model.os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        model.save_checkpoint(path, model.init_backbone(3, 2, rng=np.random.default_rng(2)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    back = model.load_checkpoint(path)
+    np.testing.assert_array_equal(back.weights[0], old.weights[0])
+
+
 def test_checkpoint_errors(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
