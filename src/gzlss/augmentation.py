@@ -95,13 +95,12 @@ def _bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
     ty = ty[None, :, None]
     tx = tx[None, None, :]
-    # each source row gathered once; a float32 source is promoted to float64
-    # exactly inside the products
-    rows0 = image[:, y0]
-    rows1 = image[:, y1]
-    top = rows0[:, :, x0] * (1 - tx) + rows0[:, :, x1] * tx
-    bot = rows1[:, :, x0] * (1 - tx) + rows1[:, :, x1] * tx
-    return top * (1 - ty) + bot * ty
+    # separable: each source row is interpolated horizontally once, then the
+    # rows are blended; the same float64 products and sums as interpolating
+    # each gathered row pair, so the bytes are the same
+    src = image.astype(np.float64)
+    hor = src[:, :, x0] * (1 - tx) + src[:, :, x1] * tx
+    return hor[:, y0] * (1 - ty) + hor[:, y1] * ty
 
 
 def apply(spec: AugmentationSpec, image: np.ndarray) -> np.ndarray:

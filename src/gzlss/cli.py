@@ -173,10 +173,11 @@ def _check_resume_settings(cfg: dict, path: str, data: str) -> None:
             )
 
 
-def _load_dataset(path: str, include_hidden: bool = False) -> synthetic_data.Dataset:
+def _load_dataset(path: str, include_hidden: bool = False,
+                  splits=synthetic_data.SPLITS) -> synthetic_data.Dataset:
     if not os.path.isdir(path):
         raise FormatError(f"dataset directory not found: {path}")
-    return synthetic_data.load_dataset(path, include_hidden)
+    return synthetic_data.load_dataset(path, include_hidden, splits)
 
 
 def _has_hidden(path: str) -> bool:
@@ -208,8 +209,7 @@ def _cmd_train_base(args, cfg: dict, pool) -> int:
 
 
 def _cmd_pseudo(args, cfg: dict, pool) -> int:
-    include_hidden = _has_hidden(args.data)
-    ds = _load_dataset(args.data, include_hidden)
+    ds = _load_dataset(args.data, _has_hidden(args.data), splits=("train",))
     params = load_checkpoint(args.model)
     pseudo = self_training.generate_pseudo(
         params, ds, _pipeline_specs(cfg), cfg["strategy"], cycle=1, pool=pool
@@ -270,7 +270,7 @@ def _eval_exclusions(cfg: dict, ds) -> tuple:
 
 
 def _cmd_eval(args, cfg: dict, pool) -> int:
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, splits=("eval",))
     params = load_checkpoint(args.model)
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
                          ds.table, ds.space, cfg["gamma"],
@@ -306,13 +306,21 @@ def _cmd_ablate_augs(args, cfg: dict, pool) -> int:
         rows.append((name, last.seen_miou, last.unseen_miou, last.hm))
         print(f"{name:<16} S={last.seen_miou:.1f} U={last.unseen_miou:.1f} HM={last.hm:.1f}")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
+        tmp = f"{args.out}.tmp"  # replaced atomically, like history.csv
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
             fh.write("# gzlss ablation schema v1\n")
             fh.write("regime,seen_miou,unseen_miou,hm\n")
             for name, s, u, hm in rows:
                 fh.write(f"{name},{s:.4f},{u:.4f},{hm:.4f}\n")
+        os.replace(tmp, args.out)
         print(f"wrote {args.out}")
     return 0
+
+
+# One pool per command, except these, which start no worker: gen-data runs
+# no model, and eval's one forward per image costs less than sending the
+# image to a worker, which would use it only once.
+_IN_PROCESS = (_cmd_gen_data, _cmd_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +366,8 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         cfg = load_config(args.config, extras)
-        # one pool per command; gen-data runs no model and starts no worker
-        workers = 1 if args.func is _cmd_gen_data else min(parallel.usable_cpus(),
-                                                               cfg["batch_size"])
+        workers = 1 if args.func in _IN_PROCESS else min(parallel.usable_cpus(),
+                                                             cfg["batch_size"])
         with parallel.Pool(workers) as pool:
             return args.func(args, cfg, pool)
     except NumericError as exc:

@@ -9,6 +9,7 @@ mean are reported in percent.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -189,8 +190,10 @@ def summary_line(report: GzlssReport) -> str:
 
 
 def write_report_csv(report: GzlssReport, path) -> None:
-    """Per-class rows plus one summary row; percentages to one decimal."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Per-class rows plus one summary row; percentages to one decimal.
+    The file is replaced atomically."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(REPORT_SCHEMA + "\n")
         fh.write(f"# {summary_line(report)}\n")
         writer = csv.writer(fh)
@@ -208,3 +211,4 @@ def write_report_csv(report: GzlssReport, path) -> None:
                 sum(report.pred_pixels.values()),
             ]
         )
+    os.replace(tmp, path)

@@ -39,6 +39,7 @@ _META_NAME = "meta.txt"
 _EMBED_NAME = "embeddings.txt"
 _HIDDEN_NAME = "hidden_map.txt"
 _ORACLE_NAME = "oracle.ckpt"
+SPLITS = ("train", "eval")
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ class Dataset:
     config: GeneratorConfig
     space: LabelSpace
     table: EmbeddingTable
-    train: list[SyntheticSample]
-    eval: list[SyntheticSample]
+    train: list[SyntheticSample] | None  # None: the split was not read
+    eval: list[SyntheticSample] | None
     hidden: HiddenMap | None = None
 
 
@@ -437,19 +438,25 @@ def _load_split(path: str, split: str, count: int, with_gt: bool, space: LabelSp
     return samples
 
 
-def load_dataset(path: str, include_hidden: bool = False) -> Dataset:
+def load_dataset(path: str, include_hidden: bool = False, splits=SPLITS) -> Dataset:
     """Read a dataset directory back.
 
-    Training ground truth and the hidden map are withheld unless
-    ``include_hidden`` -- the learner is only supposed to see redacted
-    training masks.  Eval ground truth is always loaded.
+    Only the ``splits`` named are read, and every mask they hold is
+    checked; a split not read is None.  Training ground truth and the
+    hidden map are withheld unless ``include_hidden`` -- the learner is
+    only supposed to see redacted training masks.  Eval ground truth is
+    loaded whenever the eval split is.
     """
+    if not set(splits) <= set(SPLITS):
+        raise ValueError(f"unknown splits {sorted(set(splits) - set(SPLITS))}")
     cfg = _read_meta(os.path.join(path, _META_NAME))
     space = _label_space(cfg)
     table = load_embeddings(os.path.join(path, _EMBED_NAME), space)
-    train = _load_split(path, "train", cfg.train_images, include_hidden, space)
-    evals = _load_split(path, "eval", cfg.eval_images, True, space)
-    hidden = None
+    train = evals = hidden = None
+    if "train" in splits:
+        train = _load_split(path, "train", cfg.train_images, include_hidden, space)
+    if "eval" in splits:
+        evals = _load_split(path, "eval", cfg.eval_images, True, space)
     if include_hidden:
         hidden = load_hidden_map(os.path.join(path, _HIDDEN_NAME))
     return Dataset(cfg, space, table, train, evals, hidden)

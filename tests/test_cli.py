@@ -1,14 +1,16 @@
 """CLI: config layering, exit codes, and a tiny end-to-end pipeline."""
 
 import dataclasses
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gzlss import cli
+from gzlss import cli, parallel
 from gzlss import self_training as st
 from gzlss import synthetic_data as sd
+from gzlss.metrics import evaluate_pairs, write_report_csv
 from gzlss.model import TrainConfig, load_checkpoint
 from gzlss.self_training import read_history_csv
 
@@ -64,17 +66,95 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _corrupt(path, value):
+    mask = sd.read_pgm(path)
+    good = mask.copy()
+    mask[0, 0] = value
+    sd.write_pgm(mask, path)
+    return good
+
+
 def test_bad_mask_file_exits_2(tmp_path, capsys):
+    """Every mask of a split a command reads is checked; exit 2 names the file."""
     data = tmp_path / "data"
     assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    model = str(data / "oracle.ckpt")
     path = data / "train" / "img_0002.mask.pgm"
-    mask = sd.read_pgm(path)
-    mask[0, 0] = 4  # an unseen id (seen classes are 1-3)
-    sd.write_pgm(mask, path)
+    good = _corrupt(path, 4)  # an unseen id (seen classes are 1-3)
     capsys.readouterr()
     assert cli.main(["selftrain", "--data", str(data), "--out",
                      str(tmp_path / "run")] + TINY + FAST) == 2
     assert "img_0002.mask.pgm" in capsys.readouterr().err
+    assert cli.main(["pseudo", "--data", str(data), "--model", model,
+                     "--out", str(tmp_path / "p")] + FAST) == 2
+    assert "img_0002.mask.pgm" in capsys.readouterr().err
+    sd.write_pgm(good, path)
+
+    _corrupt(data / "eval" / "img_0001.gt.pgm", 9)  # no such class
+    assert cli.main(["eval", "--data", str(data), "--model", model]) == 2
+    assert "img_0001.gt.pgm" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny dataset and a base checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    data, ckpt = root / "data", root / "base.ckpt"
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    assert cli.main(["train-base", "--data", str(data), "--out", str(ckpt)] + FAST) == 0
+    return data, ckpt
+
+
+def _pseudo_masks(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_eval_and_pseudo_read_only_their_split(trained, tmp_path, capsys):
+    data, ckpt = trained
+    eval_cmd = ["eval", "--model", str(ckpt)]
+    pseudo_cmd = ["pseudo", "--model", str(ckpt)] + FAST
+    assert cli.main(eval_cmd + ["--data", str(data), "--report", str(tmp_path / "a.csv")]) == 0
+    assert cli.main(pseudo_cmd + ["--data", str(data), "--out", str(tmp_path / "a")]) == 0
+    both = capsys.readouterr().out
+
+    for split in ("train", "eval"):
+        shutil.copytree(data, tmp_path / f"no-{split}")
+        shutil.rmtree(tmp_path / f"no-{split}" / split)
+    assert cli.main(eval_cmd + ["--data", str(tmp_path / "no-train"),
+                                "--report", str(tmp_path / "b.csv")]) == 0
+    assert cli.main(pseudo_cmd + ["--data", str(tmp_path / "no-eval"),
+                                  "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == both.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert _pseudo_masks(tmp_path / "b") == _pseudo_masks(tmp_path / "a")
+
+
+def test_eval_starts_no_worker(trained, tmp_path, capsys, monkeypatch):
+    data, ckpt = trained
+    started = []
+
+    def worker(ctx):
+        started.append(ctx)
+        return real_worker(ctx)
+
+    real_worker = parallel._Worker
+    monkeypatch.setattr(parallel, "_Worker", worker)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    report = tmp_path / "report.csv"
+    assert cli.main(["eval", "--data", str(data), "--model", str(ckpt),
+                     "--report", str(report)] + FAST) == 0
+    assert started == []
+    assert cli.main(["pseudo", "--data", str(data), "--model", str(ckpt),
+                     "--out", str(tmp_path / "p")] + FAST) == 0
+    assert len(started) == 3  # the pseudo-labelling commands keep their pool
+    capsys.readouterr()
+
+    ds = sd.load_dataset(str(data))
+    with parallel.Pool(2) as pool:
+        rep = evaluate_pairs(load_checkpoint(ckpt), [(s.image, s.hidden_gt) for s in ds.eval],
+                             ds.table, ds.space, pool=pool)
+    write_report_csv(rep, tmp_path / "pool.csv")
+    assert (tmp_path / "pool.csv").read_bytes() == report.read_bytes()
 
 
 def test_end_to_end_pipeline(tmp_path, capsys):
@@ -199,6 +279,7 @@ def test_ablate_augs_grid(tmp_path, capsys):
     names = [ln.split(",")[0] for ln in lines[2:]]
     assert names == ["none", "mirror", "down", "up", "random",
                      "mirror+down", "mirror+up", "mirror+random"]
+    assert not (tmp_path / "ablation.csv.tmp").exists()
     capsys.readouterr()
 
 

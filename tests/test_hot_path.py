@@ -131,8 +131,8 @@ def test_window_stack_bitwise(shape, dtype, k):
 # bilinear resize
 
 
-@pytest.mark.parametrize("factor", ["3/2", "3/4", "1/2"])
-@pytest.mark.parametrize("shape", [(16, 32, 32), (3, 7, 5)])
+@pytest.mark.parametrize("factor", ["3/2", "3/4", "1/2", "2", "17/16", "31/16"])
+@pytest.mark.parametrize("shape", [(16, 32, 32), (3, 7, 5), (4, 20, 36)])
 def test_bilinear_bitwise(factor, shape):
     rng = np.random.default_rng(len(factor) + shape[1])
     image = rng.standard_normal(shape).astype(np.float32)

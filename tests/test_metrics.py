@@ -98,3 +98,21 @@ def test_report_csv(tmp_path, space):
     assert lines[3] == "1,100.0,1,1"
     assert lines[4] == "2,,0,0"  # absent class: empty IoU cell
     assert lines[-1].startswith("summary,100.0,")
+
+
+def test_failed_report_replace_keeps_the_previous_file(tmp_path, space, monkeypatch):
+    cm = metrics.new_confusion(space)
+    metrics.accumulate(np.array([[1, 4]]), np.array([[1, 4]]), cm)
+    path = tmp_path / "report.csv"
+    metrics.write_report_csv(metrics.build_report(cm, space), path)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    metrics.accumulate(np.array([[2, 4]]), np.array([[1, 4]]), cm)
+    monkeypatch.setattr(metrics.os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        metrics.write_report_csv(metrics.build_report(cm, space), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before

@@ -1,5 +1,7 @@
 """Benchmark generation: determinism, redaction, oracle, file formats."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,23 @@ def test_load_withholds_hidden_by_default(tmp_path):
     assert back.hidden is None
     assert all(s.hidden_gt is None for s in back.train)
     assert all(s.hidden_gt is not None for s in back.eval)  # eval gt always loads
+
+
+def test_load_reads_only_the_named_splits(tmp_path):
+    ds = sd.generate(sd.GeneratorConfig(seed=7, **SMALL))
+    for split, kept in (("train", "eval"), ("eval", "train")):
+        root = tmp_path / split
+        sd.save_dataset(ds, str(root))
+        shutil.rmtree(root / split)
+        back = sd.load_dataset(str(root), include_hidden=True, splits=(kept,))
+        assert getattr(back, split) is None  # not [], so a misuse fails at once
+        assert len(getattr(back, kept)) == len(getattr(ds, kept))
+        for a, b in zip(getattr(back, kept), getattr(ds, kept)):
+            np.testing.assert_array_equal(a.image, b.image)
+            np.testing.assert_array_equal(a.train_mask, b.train_mask)
+            np.testing.assert_array_equal(a.hidden_gt, b.hidden_gt)
+    with pytest.raises(ValueError, match="unknown splits"):
+        sd.load_dataset(str(root), splits=("test",))
 
 
 def test_load_missing_meta(tmp_path):
