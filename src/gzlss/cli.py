@@ -201,8 +201,9 @@ def _cmd_train_base(args, cfg: dict, pool) -> int:
     ds = _load_dataset(args.data)
     params = self_training.train_base(ds, _build(TrainConfig, cfg), pool)
     save_checkpoint(args.out, params)
+    # in-process, as in eval: each eval image is used once
     rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"], pool=pool)
+                         ds.table, ds.space, cfg["gamma"])
     print(f"saved {args.out}")
     print(summary_line(rep))
     return 0

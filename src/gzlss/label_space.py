@@ -35,9 +35,6 @@ class LabelSpace:
     def num_classes(self) -> int:
         return len(self.seen_ids) + len(self.unseen_ids)
 
-    def is_seen(self, class_id: int) -> bool:
-        return class_id in self.seen_ids
-
 
 def build_label_space(
     seen: list[int] | tuple[int, ...],
@@ -90,9 +87,6 @@ class EmbeddingTable:
     def matrix(self, ids) -> np.ndarray:
         """Stack the vectors for ``ids`` into a (len(ids), dim) array."""
         return np.stack([self.vectors[int(c)] for c in ids])
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vectors))
 
 
 def make_embedding_table(vectors: dict[int, np.ndarray]) -> EmbeddingTable:
@@ -171,46 +165,33 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{class_id} {vals}\n")
 
 
-def _only_ids(mask: np.ndarray, ids) -> bool:
-    """True when every pixel of an integer mask holds one of ``ids``.
+def _ids_up_to(mask: np.ndarray, last_id: int) -> bool:
+    """True when every pixel of an integer mask holds an id in 0..last_id.
 
-    A table lookup, not ``np.unique``: the dataset loader checks every mask
-    it reads, and a ``np.unique`` per mask raised the peak RSS of a standard
-    selftrain by ~1.4 MB.  ``np.unique`` only runs to name the bad ids.
+    Ids are dense (seen 1..S, then unseen S+1..S+U), so a range check is
+    the whole check; ``np.unique`` only runs to name the bad ids.
     """
-    if mask.size == 0:
-        return True
-    if mask.dtype.kind not in "iu" or mask.min() < 0 or mask.max() > max(ids):
-        return False
-    allowed = np.zeros(max(ids) + 1, dtype=bool)
-    allowed[list(ids)] = True
-    return bool(allowed[mask].all())
+    return mask.size == 0 or (mask.min() >= 0 and mask.max() <= last_id)
 
 
 def validate_training_mask(mask: np.ndarray, space: LabelSpace) -> None:
     """Raise if a training mask contains anything but 0 or seen ids."""
     mask = np.asarray(mask)
-    if _only_ids(mask, (0, *space.seen_ids)):
+    if _ids_up_to(mask, space.seen_ids[-1]):
         return
-    allowed = np.zeros(max(space.all_ids) + 2, dtype=bool)
-    allowed[0] = True
-    allowed[list(space.seen_ids)] = True
     values = np.unique(mask)
-    if values.min(initial=0) < 0 or values.max(initial=0) > max(space.all_ids):
-        bad = values[(values < 0) | (values > max(space.all_ids))]
-        raise ValueError(f"mask contains ids outside the label space: {bad.tolist()}")
-    bad = values[~allowed[values]]
+    bad = values[(values < 0) | (values > space.unseen_ids[-1])]
     if bad.size:
-        raise ValueError(f"training mask contains non-seen ids: {bad.tolist()}")
+        raise ValueError(f"mask contains ids outside the label space: {bad.tolist()}")
+    bad = values[values > space.seen_ids[-1]]
+    raise ValueError(f"training mask contains non-seen ids: {bad.tolist()}")
 
 
 def validate_eval_mask(mask: np.ndarray, space: LabelSpace) -> None:
     """Raise if a ground-truth mask contains ids outside {0} + all classes."""
     mask = np.asarray(mask)
-    if _only_ids(mask, (0, *space.all_ids)):
+    if _ids_up_to(mask, space.unseen_ids[-1]):
         return
     values = np.unique(mask)
-    known = {0} | set(space.all_ids)
-    bad = [int(v) for v in values if int(v) not in known]
-    if bad:
-        raise ValueError(f"mask contains unknown ids: {bad}")
+    bad = values[(values < 0) | (values > space.unseen_ids[-1])]
+    raise ValueError(f"mask contains unknown ids: {bad.tolist()}")

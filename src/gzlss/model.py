@@ -240,15 +240,16 @@ def _ce_term(
     feat: np.ndarray,
     emb: np.ndarray,
     labels_flat: np.ndarray,
-    chan: np.ndarray,
+    first_id: int,
     dfeat: np.ndarray,
     scale: float = 1.0,
 ) -> float:
     """Loss of one sum-form CE term over labeled pixels.
 
-    ``scale`` times its d(loss)/d(feat) is added into the labeled columns
-    of ``dfeat``, which the caller zeroes; columns the term does not label
-    are left untouched.
+    ``emb`` holds the embeddings of consecutive ids from ``first_id`` on,
+    so label id ``first_id + i`` is channel i.  ``scale`` times its
+    d(loss)/d(feat) is added into the labeled columns of ``dfeat``, which
+    the caller zeroes; columns the term does not label are left untouched.
     """
     labeled = labels_flat > 0
     if not labeled.any():
@@ -257,7 +258,7 @@ def _ce_term(
     logits = emb @ feat[:, cols]  # (C, P_l)
     logits -= logits.max(axis=0, keepdims=True)
     lse = np.log(np.exp(logits).sum(axis=0))
-    target = chan[labels_flat[cols]]
+    target = labels_flat[cols] - first_id
     loss = float((lse - logits[target, np.arange(cols.size)]).sum())
     dlogits = np.exp(logits - lse)  # softmax
     dlogits[target, np.arange(cols.size)] -= 1.0
@@ -281,38 +282,26 @@ def backward(
     ``y`` supervises the seen-class softmax, ``ybar`` (may be None) the
     unseen-class softmax weighted by ``lam``.  Embeddings receive no
     gradient.  Raises NumericError on non-finite gradients.
-    """
-    y = np.asarray(y)
-    ybar_arr = np.zeros_like(y) if ybar is None else np.asarray(ybar)
-    if np.any((y > 0) & (ybar_arr > 0)):
-        raise ValueError("a pixel cannot carry both a real and a pseudo label")
-    x, n, m = _pixel_input(image, params)
-    if y.shape != (n, m) or ybar_arr.shape != (n, m):
-        raise ValueError("mask shapes do not match the image")
 
+    The masks are trusted, not checked, on every call: callers pass (N, M)
+    masks of the image's height and width, ``y`` holding only 0 and seen
+    ids, ``ybar`` only 0 and unseen ids, and no pixel labelled in both.
+    ``synthetic_data.load_dataset`` checks every image and mask it reads,
+    and ``pseudo_labeler.generate`` labels only unlabelled pixels, with
+    unseen ids.  The image itself is still checked against the backbone.
+    """
+    x, _, _ = _pixel_input(image, params)
     activations = _forward_layers(x, params)
     feat = activations[-1]
 
-    seen_chan = _channel_lookup(space.seen_ids)
-    unseen_chan = _channel_lookup(space.unseen_ids)
-    y_flat = y.reshape(-1)
-    ybar_flat = ybar_arr.reshape(-1)
-    if y_flat.max(initial=0) > 0 and (
-        y_flat.max() > max(space.seen_ids) or np.any(seen_chan[y_flat[y_flat > 0]] < 0)
-    ):
-        raise ValueError("training mask contains non-seen ids")
-    if ybar_flat.max(initial=0) > 0 and (
-        ybar_flat.max() > max(space.unseen_ids)
-        or np.any(unseen_chan[ybar_flat[ybar_flat > 0]] < 0)
-    ):
-        raise ValueError("pseudo mask contains non-unseen ids")
-
-    # one gradient grid for both terms: no pixel carries both labels (checked
-    # above), so each term writes only its own columns
+    y_flat = np.asarray(y).reshape(-1)
+    ybar_flat = np.zeros_like(y_flat) if ybar is None else np.asarray(ybar).reshape(-1)
+    # one gradient grid for both terms: no pixel carries both labels, so
+    # each term writes only its own columns
     dfeat = np.zeros_like(feat)
-    seen_loss = _ce_term(feat, table.matrix(space.seen_ids), y_flat, seen_chan, dfeat)
+    seen_loss = _ce_term(feat, table.matrix(space.seen_ids), y_flat, space.seen_ids[0], dfeat)
     pseudo_loss = _ce_term(
-        feat, table.matrix(space.unseen_ids), ybar_flat, unseen_chan, dfeat, lam
+        feat, table.matrix(space.unseen_ids), ybar_flat, space.unseen_ids[0], dfeat, lam
     )
 
     grad_w = [np.empty(0)] * len(params.weights)
@@ -446,6 +435,9 @@ def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> BackboneParams:
+    """Read a checkpoint, refusing any file ``save_checkpoint`` cannot have
+    written: a header that describes no usable backbone, or a file longer
+    or shorter than its header says."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC), path, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -453,10 +445,24 @@ def load_checkpoint(path) -> BackboneParams:
         version, window, n_layers = struct.unpack("<III", _read_exact(fh, 12, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if n_layers == 0:
+            raise FormatError(f"{path}: no layers")
+        if window % 2 == 0:
+            raise FormatError(f"{path}: window {window} is not a positive odd number")
         shapes = [
             struct.unpack("<II", _read_exact(fh, 8, path, f"layer {i} shape"))
             for i in range(n_layers)
         ]
+        if shapes[0][1] % (window * window):
+            raise FormatError(f"{path}: {shapes[0][1]} inputs do not split into "
+                              f"{window}x{window} windows")
+        if any(n_in != n_out for (n_out, _), (_, n_in) in zip(shapes, shapes[1:])):
+            raise FormatError(f"{path}: layer shapes {shapes} do not chain")
+        # checked before any read is sized by the header
+        size = os.fstat(fh.fileno()).st_size
+        want = fh.tell() + 8 * sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+        if size != want:
+            raise FormatError(f"{path}: {size} bytes, but its header describes {want} bytes")
         weights, biases = [], []
         for i, (n_out, n_in) in enumerate(shapes):
             wb = _read_exact(fh, 8 * n_out * n_in, path, f"layer {i} weights")

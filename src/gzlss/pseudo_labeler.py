@@ -54,10 +54,6 @@ class PseudoMask:
     spec_names: tuple[str, ...]
     generator_id: str = ""
 
-    @property
-    def num_augmentations(self) -> int:
-        return len(self.spec_names)
-
 
 def unseen_hard_labels(
     generator: BackboneParams,
@@ -69,8 +65,6 @@ def unseen_hard_labels(
     generator_id: str = "",
 ) -> PseudoMask:
     """Argmax over unseen classes on one augmented view, mapped back to I."""
-    if not space.unseen_ids:
-        raise ValueError("label space has no unseen classes")
     image = np.asarray(image)
     view = augmentation.apply(spec, image)
     feat = forward_backbone(view, generator)

@@ -410,30 +410,37 @@ def save_dataset(ds: Dataset, path: str) -> None:
                 write_pgm(s.hidden_gt, os.path.join(sub, f"img_{i:04d}.gt.pgm"))
 
 
-def _read_checked_pgm(path: str, check, space: LabelSpace) -> np.ndarray:
-    mask = read_pgm(path)
+def _read_checked(read, path: str, shape: tuple, check=None) -> np.ndarray:
+    array = read(path)
     try:
-        check(mask, space)
+        if array.shape != shape:
+            raise ValueError(f"shape {array.shape}, but {_META_NAME} gives {shape}")
+        if check is not None:
+            check(array)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return mask
+    return array
 
 
-def _load_split(path: str, split: str, count: int, with_gt: bool, space: LabelSpace):
-    # masks are checked against the label space here, once, so a bad file is
-    # reported by name instead of failing deep inside training
+def _load_split(path: str, split: str, count: int, image_shape: tuple, with_gt: bool,
+                space: LabelSpace):
+    # every file is checked here, once, against the shapes in meta.txt and
+    # the label space, so a bad file is reported by name; training and
+    # pseudo-labelling trust what the loader returns
     sub = os.path.join(path, split)
+    size = image_shape[1:]
     samples = []
     for i in range(count):
         stem = os.path.join(sub, f"img_{i:04d}")
-        image = read_feat(stem + ".feat")
-        mask = _read_checked_pgm(stem + ".mask.pgm", validate_training_mask, space)
+        image = _read_checked(read_feat, stem + ".feat", image_shape)
+        mask = _read_checked(read_pgm, stem + ".mask.pgm", size,
+                             lambda m: validate_training_mask(m, space))
         gt = None
         if with_gt:
             gt_path = stem + ".gt.pgm"
             if not os.path.exists(gt_path):
                 raise FormatError(f"missing ground truth: {gt_path}")
-            gt = _read_checked_pgm(gt_path, validate_eval_mask, space)
+            gt = _read_checked(read_pgm, gt_path, size, lambda m: validate_eval_mask(m, space))
         samples.append(SyntheticSample(image, mask, gt))
     return samples
 
@@ -441,8 +448,9 @@ def _load_split(path: str, split: str, count: int, with_gt: bool, space: LabelSp
 def load_dataset(path: str, include_hidden: bool = False, splits=SPLITS) -> Dataset:
     """Read a dataset directory back.
 
-    Only the ``splits`` named are read, and every mask they hold is
-    checked; a split not read is None.  Training ground truth and the
+    Only the ``splits`` named are read; a split not read is None.  Every
+    image and mask read is checked: its shape against ``meta.txt``, a
+    mask's ids against the label space.  Training ground truth and the
     hidden map are withheld unless ``include_hidden`` -- the learner is
     only supposed to see redacted training masks.  Eval ground truth is
     loaded whenever the eval split is.
@@ -452,11 +460,12 @@ def load_dataset(path: str, include_hidden: bool = False, splits=SPLITS) -> Data
     cfg = _read_meta(os.path.join(path, _META_NAME))
     space = _label_space(cfg)
     table = load_embeddings(os.path.join(path, _EMBED_NAME), space)
+    shape = (cfg.channels, cfg.height, cfg.width)
     train = evals = hidden = None
     if "train" in splits:
-        train = _load_split(path, "train", cfg.train_images, include_hidden, space)
+        train = _load_split(path, "train", cfg.train_images, shape, include_hidden, space)
     if "eval" in splits:
-        evals = _load_split(path, "eval", cfg.eval_images, True, space)
+        evals = _load_split(path, "eval", cfg.eval_images, shape, True, space)
     if include_hidden:
         hidden = load_hidden_map(os.path.join(path, _HIDDEN_NAME))
     return Dataset(cfg, space, table, train, evals, hidden)

@@ -9,6 +9,7 @@ or a count there, or fail the benchmark, so it is checked here.
 import importlib
 import importlib.util
 import inspect
+import os
 import sys
 import types
 from pathlib import Path
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gzlss import cli
+from gzlss import augmentation, cli, model
+from gzlss.label_space import build_label_space, make_embedding_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +82,44 @@ def test_counters_read_real_parameters(spans, tmp_path):
         counter(bound, result)
         params = inspect.signature(_function(name)).parameters
         assert [key for key in bound.read if key not in params] == [], name
+
+    # each counter on a real call of its function, bound as a traced run
+    # binds it, gives the true count: renaming a result field such as
+    # ``contributing_pixels`` or ``labels`` fails here instead of silently
+    # dropping the count from a benchmark run
+    rng = np.random.default_rng(0)
+    space = build_label_space([1, 2, 3], [4, 5])
+    table = make_embedding_table({c: rng.standard_normal(4) for c in space.all_ids})
+    backbone = model.init_backbone(6, 4, rng=rng)
+    image = rng.standard_normal((6, 5, 7)).astype(np.float32)
+    y = np.where(rng.random((5, 7)) < 0.5, rng.integers(1, 4, (5, 7)), 0)
+    ckpt, feat, pgm = (str(tmp_path / name) for name in ("m.ckpt", "i.feat", "m.pgm"))
+
+    def size(path):
+        return lambda result: {"bytes": os.path.getsize(path)}
+
+    calls = {  # name -> (arguments, the true count from the result); writers first
+        "model.backward": ((image, backbone, table, space, y, None, 1.0),
+                           lambda result: {"pixels": int((y > 0).sum())}),
+        "model.forward_backbone": ((image, backbone), lambda result: {"pixels": 5 * 7}),
+        "pseudo_labeler.generate": (
+            ("strict", backbone, image, y, augmentation.parse_spec_list("identity,mirror"),
+             table, space),
+            lambda result: {"assigned": int(np.count_nonzero(result.labels)),
+                            "unlabeled": int((y == 0).sum())}),
+        "model.save_checkpoint": ((ckpt, backbone), size(ckpt)),
+        "model.load_checkpoint": ((ckpt,), size(ckpt)),
+        "synthetic_data.write_feat": ((image, feat), size(feat)),
+        "synthetic_data.read_feat": ((feat,), size(feat)),
+        "synthetic_data.write_pgm": ((y, pgm), size(pgm)),
+        "synthetic_data.read_pgm": ((pgm,), size(pgm)),
+    }
+    assert sorted(calls) == sorted(spans.COUNTERS)
+    for name, (args, truth) in calls.items():
+        func = _function(name)
+        result = func(*args)
+        bound = inspect.signature(func).bind(*args).arguments  # as spans.py binds them
+        assert spans.COUNTERS[name](bound, result) == truth(result), name
 
 
 def test_every_benchmark_command_parses(bench, monkeypatch):

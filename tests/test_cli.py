@@ -10,7 +10,7 @@ import pytest
 from gzlss import cli, parallel
 from gzlss import self_training as st
 from gzlss import synthetic_data as sd
-from gzlss.metrics import evaluate_pairs, write_report_csv
+from gzlss.metrics import evaluate_pairs, summary_line, write_report_csv
 from gzlss.model import TrainConfig, load_checkpoint
 from gzlss.self_training import read_history_csv
 
@@ -90,9 +90,37 @@ def test_bad_mask_file_exits_2(tmp_path, capsys):
     assert "img_0002.mask.pgm" in capsys.readouterr().err
     sd.write_pgm(good, path)
 
-    _corrupt(data / "eval" / "img_0001.gt.pgm", 9)  # no such class
+    gt_path = data / "eval" / "img_0001.gt.pgm"
+    good = _corrupt(gt_path, 9)  # no such class
     assert cli.main(["eval", "--data", str(data), "--model", model]) == 2
     assert "img_0001.gt.pgm" in capsys.readouterr().err
+    sd.write_pgm(good, gt_path)
+
+    # a file of the wrong shape is refused at load, by name, before any
+    # training or pseudo-labelling could use the wrong pixels
+    for split, name, cmd in (("train", "img_0003.feat", "selftrain"),
+                             ("train", "img_0001.mask.pgm", "pseudo"),
+                             ("eval", "img_0002.gt.pgm", "eval")):
+        path = data / split / name
+        good = path.read_bytes()
+        if name.endswith(".feat"):
+            sd.write_feat(sd.read_feat(str(path))[:, 1:], str(path))
+        else:
+            sd.write_pgm(sd.read_pgm(str(path))[:, :-1], str(path))
+        argv = {"selftrain": ["selftrain", "--out", str(tmp_path / "run2")] + TINY + FAST,
+                "pseudo": ["pseudo", "--model", model, "--out", str(tmp_path / "p")] + FAST,
+                "eval": ["eval", "--model", model]}[cmd]
+        assert cli.main(argv + ["--data", str(data)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"{name}: shape" in err and "configuration error" not in err
+        path.write_bytes(good)
+
+    # a checkpoint whose header describes no backbone is a format error too
+    bad_model = tmp_path / "w0.ckpt"
+    bad_model.write_bytes(Path(model).read_bytes()[:12] + bytes(4)
+                          + Path(model).read_bytes()[16:])
+    assert cli.main(["eval", "--data", str(data), "--model", str(bad_model)]) == 2
+    assert "window 0" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +183,32 @@ def test_eval_starts_no_worker(trained, tmp_path, capsys, monkeypatch):
                              ds.table, ds.space, pool=pool)
     write_report_csv(rep, tmp_path / "pool.csv")
     assert (tmp_path / "pool.csv").read_bytes() == report.read_bytes()
+
+
+def test_train_base_scores_eval_images_in_process(trained, tmp_path, capsys, monkeypatch):
+    """train-base trains on its pool, but sends no eval image to a worker:
+    each is used once.  The printed score is the one the pool gives."""
+    data, ckpt = trained
+    sent = []
+    real_map = parallel.Pool.map
+
+    def recording_map(self, func, items):
+        sent.extend(items)
+        return real_map(self, func, items)
+
+    monkeypatch.setattr(parallel.Pool, "map", recording_map)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    out = tmp_path / "base.ckpt"
+    assert cli.main(["train-base", "--data", str(data), "--out", str(out)] + FAST) == 0
+    keys = {v.key[0] for item in sent for v in item.values() if isinstance(v, parallel.Cached)}
+    assert keys == {"image", "mask"}
+    assert out.read_bytes() == ckpt.read_bytes()
+
+    ds = sd.load_dataset(str(data), splits=("eval",))
+    with parallel.Pool(2) as pool:
+        rep = evaluate_pairs(load_checkpoint(ckpt), [(s.image, s.hidden_gt) for s in ds.eval],
+                             ds.table, ds.space, pool=pool)
+    assert capsys.readouterr().out == f"saved {out}\n{summary_line(rep)}\n"
 
 
 def test_end_to_end_pipeline(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Backbone forward/backward, losses, optimizer, inference, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,14 @@ def test_failed_checkpoint_replace_keeps_the_previous_file(tmp_path, monkeypatch
     np.testing.assert_array_equal(back.weights[0], old.weights[0])
 
 
+def _checkpoint(path, window, shapes, extra=b""):
+    """A version 2 file with the given header, a zero payload and ``extra`` bytes."""
+    header = model.CHECKPOINT_MAGIC + struct.pack("<III", 2, window, len(shapes))
+    header += b"".join(struct.pack("<II", *shape) for shape in shapes)
+    path.write_bytes(header + bytes(8 * sum(o * (i + 1) for o, i in shapes)) + extra)
+    return path
+
+
 def test_checkpoint_errors(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -270,3 +280,26 @@ def test_checkpoint_errors(tmp_path):
     v1.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:] + b"\x00")
     with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
         model.load_checkpoint(v1)
+
+    # headers save_checkpoint cannot write are refused, not a crash or a
+    # confusing error later (exit 2 at the CLI)
+    ok = model.load_checkpoint(_checkpoint(path, 3, [(5, 18), (4, 5)]))
+    assert (ok.window, ok.in_channels, ok.out_dim) == (3, 2, 4)
+    for window, shapes, extra, message in (
+        (3, [], b"", "no layers"),
+        (0, [(4, 6)], b"", "window 0 is not a positive odd number"),
+        (2, [(4, 24)], b"", "window 2 is not a positive odd number"),
+        (3, [(4, 6)], b"", "6 inputs do not split into 3x3 windows"),
+        (1, [(5, 6), (4, 3)], b"", "do not chain"),
+        (1, [(4, 6)], b"\x00", "header describes"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            model.load_checkpoint(_checkpoint(path, window, shapes, extra))
+
+    # a checkpoint cut at any byte is refused
+    model.save_checkpoint(path, model.init_backbone(2, 3, (2,), window=3))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError):
+            model.load_checkpoint(path)

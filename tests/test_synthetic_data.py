@@ -44,7 +44,11 @@ def test_generation_deterministic():
 def test_train_masks_redact_unseen():
     ds = sd.generate(sd.GeneratorConfig(seed=1, **SMALL))
     seen_max = max(ds.space.seen_ids)
+    size = (SMALL["height"], SMALL["width"])
     for s in ds.train + ds.eval:
+        # training trusts these shapes; only a loaded dataset is checked
+        assert s.image.shape == (SMALL["channels"], *size)
+        assert s.train_mask.shape == s.hidden_gt.shape == size
         assert s.train_mask.max() <= seen_max
         # redaction only rewrites unseen pixels to 0
         np.testing.assert_array_equal(
@@ -203,7 +207,8 @@ def test_load_missing_meta(tmp_path):
 
 
 def test_load_rejects_bad_masks_by_file(tmp_path):
-    """Masks are checked against the label space once, when they are read."""
+    """Images and masks are checked once, when they are read: ids against
+    the label space, shapes against meta.txt."""
     ds = sd.generate(sd.GeneratorConfig(seed=8, **SMALL))
     root = tmp_path / "ds"
     sd.save_dataset(ds, str(root))
@@ -224,3 +229,17 @@ def test_load_rejects_bad_masks_by_file(tmp_path):
     sd.write_pgm(gt, gt_path)
     with pytest.raises(FormatError, match="img_0001.gt.pgm.*unknown ids"):
         sd.load_dataset(str(root))
+    sd.write_pgm(ds.eval[1].hidden_gt, gt_path)
+    sd.load_dataset(str(root))  # all good again
+
+    # one row short, or one column too many, in each kind of file
+    short = ds.train[2].image[:, 1:]
+    for path, bad in ((root / "train" / "img_0002.feat", short),
+                      (root / "train" / "img_0004.mask.pgm", ds.train[4].train_mask[1:]),
+                      (root / "eval" / "img_0003.gt.pgm",
+                       np.pad(ds.eval[3].hidden_gt, ((0, 0), (0, 1))))):
+        good = path.read_bytes()
+        (sd.write_feat if path.suffix == ".feat" else sd.write_pgm)(bad, str(path))
+        with pytest.raises(FormatError, match=f"{path.name}: shape .* but meta.txt gives"):
+            sd.load_dataset(str(root))
+        path.write_bytes(good)
