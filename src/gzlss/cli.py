@@ -197,29 +197,44 @@ def _cmd_gen_data(args, cfg: dict, pool) -> int:
     return 0
 
 
+def _eval_pairs(path: str):
+    """(image, ground truth) of each eval image, read as it is drawn."""
+    return ((s.image, s.hidden_gt) for s in synthetic_data.iter_split(path, "eval"))
+
+
 def _cmd_train_base(args, cfg: dict, pool) -> int:
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, splits=("train",))
     params = self_training.train_base(ds, _build(TrainConfig, cfg), pool)
     save_checkpoint(args.out, params)
     # in-process, as in eval: each eval image is used once
-    rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"])
+    rep = evaluate_pairs(params, _eval_pairs(args.data), ds.table, ds.space, cfg["gamma"])
     print(f"saved {args.out}")
     print(summary_line(rep))
     return 0
 
 
 def _cmd_pseudo(args, cfg: dict, pool) -> int:
-    ds = _load_dataset(args.data, _has_hidden(args.data), splits=("train",))
+    hidden = _has_hidden(args.data)
+    ds = _load_dataset(args.data, hidden, splits=())
     params = load_checkpoint(args.model)
-    pseudo = self_training.generate_pseudo(
-        params, ds, _pipeline_specs(cfg), cfg["strategy"], cycle=1, pool=pool
-    )
+    specs = _pipeline_specs(cfg)
     os.makedirs(args.out, exist_ok=True)
-    for i, pm in enumerate(pseudo):
-        synthetic_data.write_pgm(pm.labels, os.path.join(args.out, f"img_{i:04d}.pseudo.pgm"))
-    quality = self_training.dataset_pseudo_quality(pseudo, ds.train)
-    print(f"wrote {len(pseudo)} pseudo masks to {args.out}")
+    written = 0
+
+    def write_each(labelled):
+        # each mask is written as it arrives, so the split is never held
+        nonlocal written
+        for s, pm in labelled:
+            synthetic_data.write_pgm(
+                pm.labels, os.path.join(args.out, f"img_{written:04d}.pseudo.pgm"))
+            written += 1
+            yield s, pm
+
+    labelled = self_training.stream_pseudo(
+        params, ds, synthetic_data.iter_split(args.data, "train", hidden), specs,
+        cfg["strategy"], cycle=1, pool=pool)
+    quality = self_training.dataset_pseudo_quality(write_each(labelled))
+    print(f"wrote {written} pseudo masks to {args.out}")
     if quality is not None:
         def pct(v):
             return "n/a" if v is None else f"{100.0 * v:.1f}"
@@ -271,10 +286,9 @@ def _eval_exclusions(cfg: dict, ds) -> tuple:
 
 
 def _cmd_eval(args, cfg: dict, pool) -> int:
-    ds = _load_dataset(args.data, splits=("eval",))
+    ds = _load_dataset(args.data, splits=())
     params = load_checkpoint(args.model)
-    rep = evaluate_pairs(params, [(s.image, s.hidden_gt) for s in ds.eval],
-                         ds.table, ds.space, cfg["gamma"],
+    rep = evaluate_pairs(params, _eval_pairs(args.data), ds.table, ds.space, cfg["gamma"],
                          exclude_ids=_eval_exclusions(cfg, ds), pool=pool)
     if args.report:
         write_report_csv(rep, args.report)

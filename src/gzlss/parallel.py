@@ -8,22 +8,28 @@ order, and a worker never combines two results, so the caller reduces in
 the same order as a loop would: the bytes do not depend on the number of
 workers.  A pool of one process starts nothing and runs the items here.
 
-An item is a dict of keyword arguments.  A ``Cached(key, value)`` argument
-crosses the pipe only the first time a worker needs it, or again when the
-parent sends another object under the same key; a dataset therefore
-reaches each worker one image at a time, a few images per message.  A sent
-value must not be changed in place afterwards.
+An item is a dict of keyword arguments.  Items may come from a generator:
+``map`` draws them as workers become free, so a pass over a split read
+lazily holds a few images at a time.  A plain argument is sent with its
+item and dropped by the worker once the item is done.  A
+``Cached(key, value)`` argument crosses the pipe only the first time a
+worker needs it, or again when the parent sends another object under the
+same key, and the worker keeps it until the pool closes: that pays only
+for images used again, as in training.  A sent value must not be changed
+in place afterwards.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import os
 import pickle
 import signal
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 # set while the workers start, so that NumPy loads with one BLAS thread
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -70,6 +76,25 @@ def _chunks(items: list, workers: int) -> list[list]:
     q, r = divmod(len(items), count)
     bounds = [i * q + min(i, r) for i in range(count + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _drawn_chunks(items: Iterator) -> Iterator[list]:
+    """Chunks of ``MAX_CHUNK`` items, each drawn only when it is asked for.
+
+    When ``items`` raises, the items drawn before it still form a last
+    chunk, and the exception is raised when the next chunk is asked for."""
+    while True:
+        chunk = []
+        try:
+            for item in itertools.islice(items, MAX_CHUNK):
+                chunk.append(item)
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
 
 
 def _serve(conn) -> None:
@@ -215,44 +240,65 @@ class Pool:
         except (EOFError, OSError) as exc:
             raise self._lost(w, exc) from exc
 
-    def map(self, func: Callable, items: list[dict]) -> Iterator:
+    def map(self, func: Callable, items: Iterable[dict]) -> Iterator:
         """Yield ``func(**item)`` for every item, in item order.
 
-        Chunk j goes to worker j mod n, so a worker sees the same items on
-        every pass, and each worker has one chunk in flight.  An exception
-        raised by ``func`` is raised in its item's turn, as a loop would
-        raise it, after the chunks in flight are back; the pool stays
-        usable.  A worker that dies closes the pool and raises ``WorkerError``.
+        A list is cut into ``_chunks``, balanced over the workers; any
+        other iterable is drawn ``MAX_CHUNK`` items at a time, each chunk
+        just before a worker is free for it, so at most n + 1 chunks are
+        drawn and not yet yielded.  Chunk j goes to worker j mod n, so a
+        worker sees the same items on every pass over the same list, and
+        each worker has one chunk in flight.  An exception
+        raised by ``func``, or by ``items`` while it is drawn, is raised in
+        its item's turn, as a loop would raise it, after the chunks in
+        flight are back; the pool stays usable.  A worker that dies closes
+        the pool and raises ``WorkerError``.
         """
         if not self._workers:
             yield from _run_here(func, items)
             return
         workers = self._workers
-        chunks = _chunks(items, len(workers))
+        chunks = (iter(_chunks(items, len(workers))) if isinstance(items, list)
+                  else _drawn_chunks(iter(items)))
         func_bytes = pickle.dumps(func, pickle.HIGHEST_PROTOCOL)  # once, not per chunk
         sent = received = 0
+        failure = None  # what drawing a chunk raised, kept for its turn
 
-        def send_next():
+        def draw():
+            nonlocal failure
+            if failure is None:
+                try:
+                    return next(chunks, None)
+                except Exception as exc:
+                    failure = exc
+            return None
+
+        def send(chunk):
             nonlocal sent
             w = workers[sent % len(workers)]
             try:
-                w.send(func_bytes, chunks[sent])
+                w.send(func_bytes, chunk)
             except OSError as exc:
                 raise self._lost(w, exc) from exc
             sent += 1
 
         try:
-            while sent < min(len(workers), len(chunks)):
-                send_next()
-            while received < len(chunks):
+            while sent < len(workers) and (chunk := draw()) is not None:
+                send(chunk)
+            while received < sent:
+                # draw the next chunk while the workers compute, so that
+                # reading it does not keep the worker it goes to waiting
+                chunk = draw()
                 ok, value = self._receive(workers[received % len(workers)])
                 received += 1
                 if not ok:
                     exc, text = value
                     raise exc from _RemoteTraceback(text)
-                if sent < len(chunks):
-                    send_next()
+                if chunk is not None:
+                    send(chunk)
                 yield from value
+            if failure is not None:
+                raise failure
         finally:
             # after an error or an early exit, discard the replies in flight
             while received < sent and self._workers:
@@ -273,11 +319,26 @@ def _stop_resource_tracker() -> None:
         stop()
 
 
-def _run_here(func: Callable, items: list[dict]) -> Iterator:
+def _run_here(func: Callable, items: Iterable[dict]) -> Iterator:
     for item in items:
         yield func(**{k: v.value if isinstance(v, Cached) else v for k, v in item.items()})
 
 
-def map_items(pool: Pool | None, func: Callable, items: list[dict]) -> Iterator:
+def map_items(pool: Pool | None, func: Callable, items: Iterable[dict]) -> Iterator:
     """``pool.map``, or the same loop in-process when there is no pool."""
     return _run_here(func, items) if pool is None else pool.map(func, items)
+
+
+def map_tagged(pool: Pool | None, func: Callable, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """``map_items`` over the items of ``(tag, item)`` pairs, yielding
+    ``(tag, result)`` in item order.  A tag stays in this process, held
+    only while its item is drawn and not yet done."""
+    tags = collections.deque()
+
+    def items():
+        for tag, item in pairs:
+            tags.append(tag)
+            yield item
+
+    for result in map_items(pool, func, items()):
+        yield tags.popleft(), result

@@ -18,6 +18,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from gzlss.model import (
     save_checkpoint,
     sgd_step,
 )
-from gzlss.parallel import Cached, Pool, map_items
+from gzlss.parallel import Cached, Pool, map_items, map_tagged
 from gzlss.pseudo_labeler import PseudoMask, generate, unlabeled_pixels
 
 TAG_BASE = 1
@@ -124,24 +125,44 @@ def train_base(dataset, config: TrainConfig, pool: Pool | None = None) -> Backbo
     )
 
 
+def _labeller(params: BackboneParams, dataset, specs, strategy: str, cycle: int):
+    return partial(generate, strategy, params, specs=specs, table=dataset.table,
+                   space=dataset.space, generator_id=f"cycle{cycle}")
+
+
 def generate_pseudo(
     params: BackboneParams, dataset, specs, strategy: str, cycle: int,
     pool: Pool | None = None,
 ) -> list[PseudoMask]:
-    """Pseudo-labels for every training image from one frozen generator."""
-    label = partial(generate, strategy, params, specs=specs, table=dataset.table,
-                    space=dataset.space, generator_id=f"cycle{cycle}")
-    return list(map_items(pool, label, [_train_item(dataset.train, i)
-                                        for i in range(len(dataset.train))]))
+    """Pseudo-labels for every training image from one frozen generator.
+
+    The images go to the workers as ``Cached`` values, which they keep for
+    the training that follows."""
+    return list(map_items(pool, _labeller(params, dataset, specs, strategy, cycle),
+                          [_train_item(dataset.train, i) for i in range(len(dataset.train))]))
 
 
-def dataset_pseudo_quality(pseudo: list[PseudoMask], samples) -> PseudoQuality | None:
-    """Micro-averaged quality vs hidden ground truth; None when gt is withheld."""
-    if any(s.hidden_gt is None for s in samples):
-        return None
-    total = PseudoQuality(0, 0, 0, 0, 0)
-    for pm, s in zip(pseudo, samples):
-        total = total + pseudo_quality(pm.labels, s.hidden_gt, unlabeled_pixels(s.train_mask))
+def stream_pseudo(
+    params: BackboneParams, dataset, samples: Iterable, specs, strategy: str, cycle: int,
+    pool: Pool | None = None,
+) -> Iterator[tuple]:
+    """``(sample, pseudo mask)`` for each of ``samples`` in order, drawn as
+    the pool needs them; each image crosses the pipe once and no worker
+    keeps it.  ``dataset`` supplies the label space and embeddings."""
+    return map_tagged(pool, _labeller(params, dataset, specs, strategy, cycle),
+                      ((s, {"image": s.image, "y": s.train_mask}) for s in samples))
+
+
+def dataset_pseudo_quality(labelled: Iterable[tuple]) -> PseudoQuality | None:
+    """Micro-averaged quality vs hidden ground truth of ``(sample, pseudo
+    mask)`` pairs, summed as they are drawn; None when any sample's ground
+    truth is withheld.  Every pair is drawn either way."""
+    total = PseudoQuality()
+    for s, pm in labelled:
+        if s.hidden_gt is None:
+            total = None
+        elif total is not None:
+            total = total + pseudo_quality(pm.labels, s.hidden_gt, unlabeled_pixels(s.train_mask))
     return total
 
 
@@ -223,7 +244,7 @@ def strict_train(
     for t in range(first, config.cycles + 1):
         t0 = time.perf_counter()
         params, pseudo = run_cycle(params, dataset, specs, strategy, config, t, pool)
-        quality = dataset_pseudo_quality(pseudo, dataset.train)
+        quality = dataset_pseudo_quality(zip(dataset.train, pseudo))
         rep = evaluate_pairs(params, pairs, dataset.table, dataset.space, gamma, pool=pool)
         records.append(CycleRecord(
             t, rep.seen_miou, rep.unseen_miou, rep.hm,

@@ -15,6 +15,7 @@ import os
 import struct
 import typing
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -271,6 +272,8 @@ def read_feat(path: str) -> np.ndarray:
     want = 16 + 4 * c * n * m
     if len(data) < want:
         raise FormatError(f"{path}: truncated pixel data at byte {len(data)}")
+    if len(data) > want:
+        raise FormatError(f"{path}: trailing bytes after the pixel data at byte {want}")
     arr = np.frombuffer(data, dtype="<f4", count=c * n * m, offset=16)
     return arr.reshape(c, n, m).astype(np.float32)
 
@@ -319,6 +322,8 @@ def read_pgm(path: str) -> np.ndarray:
     raster = data[pos:pos + n * m]
     if len(raster) < n * m:
         raise FormatError(f"{path}: truncated raster at byte {pos + len(raster)}")
+    if len(data) > pos + n * m:
+        raise FormatError(f"{path}: trailing bytes after the raster at byte {pos + n * m}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(n, m).astype(np.int64)
 
 
@@ -422,35 +427,42 @@ def _read_checked(read, path: str, shape: tuple, check=None) -> np.ndarray:
     return array
 
 
-def _load_split(path: str, split: str, count: int, image_shape: tuple, with_gt: bool,
-                space: LabelSpace):
-    # every file is checked here, once, against the shapes in meta.txt and
-    # the label space, so a bad file is reported by name; training and
-    # pseudo-labelling trust what the loader returns
-    sub = os.path.join(path, split)
+def iter_split(path: str, split: str, include_hidden: bool = False) -> Iterator[SyntheticSample]:
+    """Yield the samples of one split in file order, reading each as it goes.
+
+    Every file is checked here, once, against the shapes in ``meta.txt``
+    and the label space, so a bad file is reported by name when it is
+    reached; training and pseudo-labelling trust what the reader yields.
+    Ground truth is read for the eval split always, and for the train
+    split only with ``include_hidden``.
+    """
+    if split not in SPLITS:
+        raise ValueError(f"unknown split {split!r}")
+    cfg = _read_meta(os.path.join(path, _META_NAME))
+    space = _label_space(cfg)
+    image_shape = (cfg.channels, cfg.height, cfg.width)
     size = image_shape[1:]
-    samples = []
+    count = cfg.train_images if split == "train" else cfg.eval_images
     for i in range(count):
-        stem = os.path.join(sub, f"img_{i:04d}")
+        stem = os.path.join(path, split, f"img_{i:04d}")
         image = _read_checked(read_feat, stem + ".feat", image_shape)
         mask = _read_checked(read_pgm, stem + ".mask.pgm", size,
                              lambda m: validate_training_mask(m, space))
         gt = None
-        if with_gt:
+        if include_hidden or split == "eval":
             gt_path = stem + ".gt.pgm"
             if not os.path.exists(gt_path):
                 raise FormatError(f"missing ground truth: {gt_path}")
             gt = _read_checked(read_pgm, gt_path, size, lambda m: validate_eval_mask(m, space))
-        samples.append(SyntheticSample(image, mask, gt))
-    return samples
+        yield SyntheticSample(image, mask, gt)
 
 
 def load_dataset(path: str, include_hidden: bool = False, splits=SPLITS) -> Dataset:
     """Read a dataset directory back.
 
-    Only the ``splits`` named are read; a split not read is None.  Every
-    image and mask read is checked: its shape against ``meta.txt``, a
-    mask's ids against the label space.  Training ground truth and the
+    Only the ``splits`` named are read, each with ``iter_split``; a split
+    not read is None, so ``splits=()`` reads the header alone for a caller
+    that streams its split.  Training ground truth and the
     hidden map are withheld unless ``include_hidden`` -- the learner is
     only supposed to see redacted training masks.  Eval ground truth is
     loaded whenever the eval split is.
@@ -460,12 +472,11 @@ def load_dataset(path: str, include_hidden: bool = False, splits=SPLITS) -> Data
     cfg = _read_meta(os.path.join(path, _META_NAME))
     space = _label_space(cfg)
     table = load_embeddings(os.path.join(path, _EMBED_NAME), space)
-    shape = (cfg.channels, cfg.height, cfg.width)
     train = evals = hidden = None
     if "train" in splits:
-        train = _load_split(path, "train", cfg.train_images, shape, include_hidden, space)
+        train = list(iter_split(path, "train", include_hidden))
     if "eval" in splits:
-        evals = _load_split(path, "eval", cfg.eval_images, shape, True, space)
+        evals = list(iter_split(path, "eval"))
     if include_hidden:
         hidden = load_hidden_map(os.path.join(path, _HIDDEN_NAME))
     return Dataset(cfg, space, table, train, evals, hidden)

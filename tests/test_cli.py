@@ -1,7 +1,9 @@
 """CLI: config layering, exit codes, and a tiny end-to-end pipeline."""
 
 import dataclasses
+import gc
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,11 @@ def _corrupt(path, value):
     return good
 
 
+def _masks_from(out, k):
+    """The pseudo masks in ``out`` of image k or later."""
+    return [p.name for p in out.glob("img_*.pseudo.pgm") if int(p.name[4:8]) >= k]
+
+
 def test_bad_mask_file_exits_2(tmp_path, capsys):
     """Every mask of a split a command reads is checked; exit 2 names the file."""
     data = tmp_path / "data"
@@ -88,6 +95,7 @@ def test_bad_mask_file_exits_2(tmp_path, capsys):
     assert cli.main(["pseudo", "--data", str(data), "--model", model,
                      "--out", str(tmp_path / "p")] + FAST) == 2
     assert "img_0002.mask.pgm" in capsys.readouterr().err
+    assert _masks_from(tmp_path / "p", 2) == []  # pseudo streams: masks 0-1 may exist
     sd.write_pgm(good, path)
 
     gt_path = data / "eval" / "img_0001.gt.pgm"
@@ -108,12 +116,22 @@ def test_bad_mask_file_exits_2(tmp_path, capsys):
         else:
             sd.write_pgm(sd.read_pgm(str(path))[:, :-1], str(path))
         argv = {"selftrain": ["selftrain", "--out", str(tmp_path / "run2")] + TINY + FAST,
-                "pseudo": ["pseudo", "--model", model, "--out", str(tmp_path / "p")] + FAST,
+                "pseudo": ["pseudo", "--model", model, "--out", str(tmp_path / "p2")] + FAST,
                 "eval": ["eval", "--model", model]}[cmd]
         assert cli.main(argv + ["--data", str(data)]) == 2, name
         err = capsys.readouterr().err
         assert f"{name}: shape" in err and "configuration error" not in err
         path.write_bytes(good)
+    assert _masks_from(tmp_path / "p2", 1) == []
+
+    # bytes after the pixel data are refused too
+    path = data / "eval" / "img_0003.feat"
+    good = path.read_bytes()
+    path.write_bytes(good + b"junk")
+    assert cli.main(["eval", "--data", str(data), "--model", model]) == 2
+    assert f"img_0003.feat: trailing bytes after the pixel data at byte {len(good)}" in (
+        capsys.readouterr().err)
+    path.write_bytes(good)
 
     # a checkpoint whose header describes no backbone is a format error too
     bad_model = tmp_path / "w0.ckpt"
@@ -185,18 +203,26 @@ def test_eval_starts_no_worker(trained, tmp_path, capsys, monkeypatch):
     assert (tmp_path / "pool.csv").read_bytes() == report.read_bytes()
 
 
+def _record_map(monkeypatch, sent):
+    """Append every item ``Pool.map`` draws to ``sent``, drawing a list as a
+    list and any other iterable as lazily as ``Pool.map`` itself does."""
+    real_map = parallel.Pool.map
+
+    def recording_map(self, func, items):
+        if isinstance(items, list):
+            sent.extend(items)
+            return real_map(self, func, items)
+        return real_map(self, func, (sent.append(item) or item for item in items))
+
+    monkeypatch.setattr(parallel.Pool, "map", recording_map)
+
+
 def test_train_base_scores_eval_images_in_process(trained, tmp_path, capsys, monkeypatch):
     """train-base trains on its pool, but sends no eval image to a worker:
     each is used once.  The printed score is the one the pool gives."""
     data, ckpt = trained
     sent = []
-    real_map = parallel.Pool.map
-
-    def recording_map(self, func, items):
-        sent.extend(items)
-        return real_map(self, func, items)
-
-    monkeypatch.setattr(parallel.Pool, "map", recording_map)
+    _record_map(monkeypatch, sent)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     out = tmp_path / "base.ckpt"
     assert cli.main(["train-base", "--data", str(data), "--out", str(out)] + FAST) == 0
@@ -209,6 +235,49 @@ def test_train_base_scores_eval_images_in_process(trained, tmp_path, capsys, mon
         rep = evaluate_pairs(load_checkpoint(ckpt), [(s.image, s.hidden_gt) for s in ds.eval],
                              ds.table, ds.space, pool=pool)
     assert capsys.readouterr().out == f"saved {out}\n{summary_line(rep)}\n"
+
+
+def test_pseudo_sends_plain_values_and_selftrain_cached(trained, tmp_path, capsys,
+                                                       monkeypatch):
+    """pseudo uses each image once, so no worker is asked to keep one;
+    selftrain reuses its images and sends them as ``Cached``."""
+    data, ckpt = trained
+    sent = []
+    _record_map(monkeypatch, sent)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    for argv, want in ((["pseudo", "--model", str(ckpt), "--out", str(tmp_path / "p")], False),
+                       (["selftrain", "--out", str(tmp_path / "run")] + TINY, True)):
+        sent.clear()
+        assert cli.main(argv + ["--data", str(data)] + FAST) == 0
+        assert sent
+        assert any(isinstance(v, parallel.Cached) for item in sent for v in item.values()) == want
+    capsys.readouterr()
+
+
+def test_eval_and_pseudo_memory_does_not_grow_with_the_split(tmp_path, capsys, monkeypatch):
+    """The peak of traced allocations of eval and pseudo, in-process, differs
+    between N and 10N images by a few images' worth, not by 9N images."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    peaks = {}
+    for n in (10, 100):
+        data = tmp_path / f"d{n}"
+        assert cli.main(["gen-data", "--out", str(data)] + TINY  # later keys win
+                        + ["--train_images", str(n), "--eval_images", str(n)]) == 0
+        model = str(data / "oracle.ckpt")
+        for argv in (["eval", "--report", str(tmp_path / f"r{n}.csv")],
+                     ["pseudo", "--out", str(tmp_path / f"m{n}")]):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["--data", str(data), "--model", model]) == 0
+                peaks[argv[0], n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    s = next(sd.iter_split(str(data), "train", include_hidden=True))
+    image_bytes = s.image.nbytes + s.train_mask.nbytes + s.hidden_gt.nbytes
+    for cmd in ("eval", "pseudo"):
+        assert peaks[cmd, 100] - peaks[cmd, 10] < 5 * image_bytes, (cmd, peaks)
 
 
 def test_end_to_end_pipeline(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from gzlss import augmentation as aug
 from gzlss import cli, parallel
 from gzlss import synthetic_data as sd
-from gzlss.errors import NumericError
+from gzlss.errors import FormatError, NumericError
 from gzlss.model import backward, infer_gzs, init_backbone
 from gzlss.pseudo_labeler import generate
 
@@ -208,3 +208,58 @@ def test_history_bytes_do_not_depend_on_cpu_count(tmp_path, capsys, monkeypatch)
         monkeypatch.undo()
     assert history[1] == history[3]
     capsys.readouterr()
+
+
+def _counting(n, drawn, fail_at=None):
+    """Items ``{"x": i}``, counting each one drawn; raises at ``fail_at``."""
+    for i in range(n):
+        if i == fail_at:
+            raise FormatError(f"item {i}")
+        drawn.append(i)
+        yield {"x": i, "seconds": 0}
+
+
+def test_map_draws_a_generator_lazily(pool):
+    """On the pool at most one chunk per worker is in flight, plus the chunk
+    being handed out; in-process each item is drawn when its turn comes."""
+    limit = (len(pool.processes) + 1) * parallel.MAX_CHUNK
+    drawn = []
+    for consumed, x in enumerate(pool.map(_slow_echo, _counting(40, drawn)), 1):
+        assert x == consumed - 1
+        assert len(drawn) - consumed < limit
+    assert len(drawn) == 40
+
+    drawn = []
+    for consumed, x in enumerate(parallel.map_items(None, _slow_echo, _counting(9, drawn)), 1):
+        assert len(drawn) == consumed
+    with parallel.Pool(1) as here:
+        drawn = []
+        for consumed, x in enumerate(here.map(_slow_echo, _counting(9, drawn)), 1):
+            assert len(drawn) == consumed
+
+
+@pytest.mark.parametrize("fail_at", [0, 3, 4, 9])
+def test_generator_error_raised_in_item_order(fail_at):
+    """An error drawing item k is raised after the results of items 0..k-1
+    and before any later item is drawn; the pool stays usable, and every
+    worker is reaped when it closes."""
+    with parallel.Pool(2) as p:
+        procs = p.processes
+        drawn, got = [], []
+        with pytest.raises(FormatError, match=f"item {fail_at}"):
+            for x in p.map(_slow_echo, _counting(20, drawn, fail_at)):
+                got.append(x)
+        assert got == drawn == list(range(fail_at))
+        assert list(p.map(_slow_echo, _counting(6, []))) == list(range(6))
+    _assert_reaped(procs)
+    got = []
+    with pytest.raises(FormatError, match=f"item {fail_at}"):
+        for x in parallel.map_items(None, _slow_echo, _counting(20, [], fail_at)):
+            got.append(x)
+    assert got == list(range(fail_at))
+
+
+def test_map_tagged_pairs_tags_with_results(pool):
+    pairs = ((f"tag{i}", {"x": i, "seconds": 0}) for i in range(11))
+    assert list(parallel.map_tagged(pool, _slow_echo, pairs)) == [
+        (f"tag{i}", i) for i in range(11)]

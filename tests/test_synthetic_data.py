@@ -121,6 +121,23 @@ def test_feat_errors(tmp_path):
     assert f"byte {len(data) - 5}" in str(err.value)
 
 
+def test_readers_refuse_trailing_bytes(tmp_path):
+    """A file longer than its header says is refused, by name and offset."""
+    feat = tmp_path / "x.feat"
+    sd.write_feat(np.zeros((2, 3, 4), dtype=np.float32), feat)
+    size = feat.stat().st_size
+    feat.write_bytes(feat.read_bytes() + b"junk")
+    with pytest.raises(FormatError, match=f"x.feat: trailing bytes .* at byte {size}"):
+        sd.read_feat(feat)
+
+    pgm = tmp_path / "x.pgm"
+    sd.write_pgm(np.ones((3, 4), dtype=np.int64), pgm)
+    size = pgm.stat().st_size
+    pgm.write_bytes(pgm.read_bytes() + bytes(8))
+    with pytest.raises(FormatError, match=f"x.pgm: trailing bytes .* at byte {size}"):
+        sd.read_pgm(pgm)
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(42)
     mask = rng.integers(0, 255, size=(7, 3))
@@ -199,6 +216,34 @@ def test_load_reads_only_the_named_splits(tmp_path):
             np.testing.assert_array_equal(a.hidden_gt, b.hidden_gt)
     with pytest.raises(ValueError, match="unknown splits"):
         sd.load_dataset(str(root), splits=("test",))
+
+
+def test_iter_split_reads_lazily_and_equals_load(tmp_path):
+    """The lazy reader yields what load_dataset holds, and reads a file only
+    when its sample is drawn: a bad file is reached, not read ahead."""
+    ds = sd.generate(sd.GeneratorConfig(seed=9, **SMALL))
+    root = tmp_path / "ds"
+    sd.save_dataset(ds, str(root))
+    for split, hidden in (("train", False), ("train", True), ("eval", False)):
+        loaded = getattr(sd.load_dataset(str(root), hidden, splits=(split,)), split)
+        streamed = list(sd.iter_split(str(root), split, hidden))
+        assert len(streamed) == len(loaded)
+        for a, b in zip(streamed, loaded):
+            assert a.image.tobytes() == b.image.tobytes()
+            assert a.train_mask.tobytes() == b.train_mask.tobytes()
+            assert (a.hidden_gt is None) == (b.hidden_gt is None) == (split == "train"
+                                                                      and not hidden)
+            if a.hidden_gt is not None:
+                assert a.hidden_gt.tobytes() == b.hidden_gt.tobytes()
+
+    (root / "train" / "img_0003.feat").write_bytes(b"GZFT")
+    samples = sd.iter_split(str(root), "train")
+    for _ in range(3):
+        next(samples)
+    with pytest.raises(FormatError, match="img_0003.feat"):
+        next(samples)
+    with pytest.raises(ValueError, match="unknown split"):
+        next(sd.iter_split(str(root), "test"))
 
 
 def test_load_missing_meta(tmp_path):
