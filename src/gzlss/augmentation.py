@@ -29,7 +29,6 @@ class AugmentationSpec:
     kind: str
     scale_num: int = 0
     scale_den: int = 1
-    scale_mode: str = ""  # down | up | random, provenance only
 
     def __post_init__(self):
         if self.kind not in (IDENTITY, MIRROR, SCALE):
@@ -58,9 +57,9 @@ def mirror_spec() -> AugmentationSpec:
     return AugmentationSpec(MIRROR)
 
 
-def scale_spec(factor, mode: str = "") -> AugmentationSpec:
+def scale_spec(factor) -> AugmentationSpec:
     f = Fraction(factor)
-    return AugmentationSpec(SCALE, f.numerator, f.denominator, mode)
+    return AugmentationSpec(SCALE, f.numerator, f.denominator)
 
 
 def scaled_size(size: tuple[int, int], spec: AugmentationSpec) -> tuple[int, int]:
@@ -197,13 +196,13 @@ def regime_specs(
     if scaling is None:
         pass
     elif scaling == "down":
-        specs.extend(scale_spec(f, "down") for f in DOWN_FACTORS)
+        specs.extend(scale_spec(f) for f in DOWN_FACTORS)
     elif scaling == "up":
-        specs.extend(scale_spec(f, "up") for f in UP_FACTORS)
+        specs.extend(scale_spec(f) for f in UP_FACTORS)
     elif scaling == "random":
         if rng is None:
             raise ValueError("random scaling regime needs an rng")
-        specs.extend(scale_spec(random_scale_factor(rng), "random") for _ in range(2))
+        specs.extend(scale_spec(random_scale_factor(rng)) for _ in range(2))
     else:
         raise ValueError(f"unknown scaling regime: {scaling!r}")
     return specs

@@ -232,7 +232,7 @@ def _cmd_pseudo(args, cfg: dict, pool) -> int:
 
     labelled = self_training.stream_pseudo(
         params, ds, synthetic_data.iter_split(args.data, "train", hidden), specs,
-        cfg["strategy"], cycle=1, pool=pool)
+        cfg["strategy"], pool=pool)
     quality = self_training.dataset_pseudo_quality(write_each(labelled))
     print(f"wrote {written} pseudo masks to {args.out}")
     if quality is not None:
@@ -244,6 +244,8 @@ def _cmd_pseudo(args, cfg: dict, pool) -> int:
 
 
 def _cmd_selftrain(args, cfg: dict, pool) -> int:
+    if args.resume < 0:  # before run.cfg is written, or a bad resume would replace it
+        raise ConfigError(f"--resume must be 0 or a cycle number, got {args.resume}")
     ds = _load_dataset(args.data, _has_hidden(args.data))
     tc = _build(TrainConfig, cfg)
     specs = _pipeline_specs(cfg)

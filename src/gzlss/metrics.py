@@ -17,7 +17,7 @@ import numpy as np
 
 from gzlss.label_space import EmbeddingTable, LabelSpace
 from gzlss.model import BackboneParams, infer_gzs
-from gzlss.parallel import Cached, Pool, map_tagged
+from gzlss.parallel import Pool, map_tagged
 
 REPORT_SCHEMA = "# gzlss report schema v1"
 
@@ -113,17 +113,15 @@ def evaluate_pairs(
 ) -> GzlssReport:
     """Run calibrated GZS inference over (image, gt) pairs and score them.
 
-    ``pairs`` is drawn lazily: in-process one pair is held at a time.  On a
-    pool each worker keeps the images it receives (``Cached``), since the
-    one caller with a pool, ``strict_train``, scores the same pairs every
-    cycle.  Classes in ``exclude_ids`` are dropped from scoring: their
+    ``pairs`` is drawn lazily: in-process one pair is held at a time.  An
+    image passed as ``Cached`` is kept by the pool worker that receives it.
+    Classes in ``exclude_ids`` are dropped from scoring: their
     ground-truth pixels are ignored and they are left out of the
     seen/unseen means.
     """
     infer = partial(infer_gzs, params=params, table=table, space=space, gamma=gamma)
     cm = new_confusion(space)
-    for gt, pred in map_tagged(pool, infer, ((gt, {"image": Cached(("eval", i), image)})
-                                             for i, (image, gt) in enumerate(pairs))):
+    for gt, pred in map_tagged(pool, infer, ((gt, {"image": image}) for image, gt in pairs)):
         if exclude_ids:
             gt = np.where(np.isin(gt, exclude_ids), 0, gt)
         accumulate(pred, gt, cm)

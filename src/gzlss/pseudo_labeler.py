@@ -3,8 +3,9 @@
 A generator model predicts among unseen classes only (the unlabeled pixels
 of a training mask are known not to be seen classes), once per augmented
 view; the views are mapped back to original coordinates and a pixel keeps
-its label only if every view agrees.  ``raw_st`` skips the filter and
-``topp:<p>`` instead drops the least confident p% of assignments.
+its label only if every view agrees.  ``raw_st`` is the one-view case, the
+identity view alone, and ``topp:<p>`` instead drops the least confident p%
+of assignments.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ def unlabeled_pixels(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PseudoMask:
-    """Unseen-class pseudo-labels (0 = none) with generation provenance."""
+    """Unseen-class pseudo-labels (0 = none)."""
 
     labels: np.ndarray
-    strategy: str
-    spec_names: tuple[str, ...]
-    generator_id: str = ""
 
 
 def unseen_hard_labels(
@@ -61,32 +59,26 @@ def unseen_hard_labels(
     spec: augmentation.AugmentationSpec,
     table: EmbeddingTable,
     space: LabelSpace,
-    unlabeled: np.ndarray,
-    generator_id: str = "",
-) -> PseudoMask:
-    """Argmax over unseen classes on one augmented view, mapped back to I."""
+) -> np.ndarray:
+    """Argmax over unseen classes on one augmented view, mapped back to the
+    image's own grid; labelled pixels are not masked."""
     image = np.asarray(image)
     view = augmentation.apply(spec, image)
     feat = forward_backbone(view, generator)
     hard = argmax_labels(feat, table, space.unseen_ids)
-    labels = augmentation.invert_mask(spec, hard, image.shape[1:])
-    labels = np.where(np.asarray(unlabeled, dtype=bool), labels, 0)
-    return PseudoMask(labels, "hard", (spec.name(),), generator_id)
+    return augmentation.invert_mask(spec, hard, image.shape[1:])
 
 
-def consistency_intersect(masks: list[PseudoMask]) -> PseudoMask:
-    """Keep a pixel's label only where every input mask agrees on it."""
-    if not masks:
-        raise ValueError("need at least one pseudo mask")
-    labels = masks[0].labels.copy()
-    for m in masks[1:]:
-        if m.labels.shape != labels.shape:
-            raise ValueError(
-                f"pseudo mask shapes differ: {m.labels.shape} vs {labels.shape}"
-            )
-        labels = np.where(labels == m.labels, labels, 0)
-    names = tuple(n for m in masks for n in m.spec_names)
-    return PseudoMask(labels, STRICT, names, masks[0].generator_id)
+def consistency_intersect(views: list[np.ndarray]) -> np.ndarray:
+    """Keep a pixel's label only where every view agrees on it."""
+    if not views:
+        raise ValueError("need at least one view")
+    labels = np.array(views[0])
+    for view in views[1:]:
+        if view.shape != labels.shape:
+            raise ValueError(f"view shapes differ: {view.shape} vs {labels.shape}")
+        labels = np.where(labels == view, labels, 0)
+    return labels
 
 
 def _top_p_filter(
@@ -112,7 +104,6 @@ def generate(
     specs: list[augmentation.AugmentationSpec],
     table: EmbeddingTable,
     space: LabelSpace,
-    generator_id: str = "",
 ) -> PseudoMask:
     """Produce the pseudo-label mask for one image under a named strategy."""
     kind, p = parse_strategy(strategy)
@@ -120,18 +111,12 @@ def generate(
         raise ValueError("augmentation spec list must begin with identity")
     unlabeled = unlabeled_pixels(y)
 
-    if kind == RAW_ST:
-        out = unseen_hard_labels(
-            generator, image, specs[0], table, space, unlabeled, generator_id
-        )
-        return PseudoMask(out.labels, RAW_ST, out.spec_names, generator_id)
-
-    if kind == STRICT:
-        views = [
-            unseen_hard_labels(generator, image, spec, table, space, unlabeled, generator_id)
-            for spec in specs
-        ]
-        return consistency_intersect(views)
+    if kind != TOP_P:
+        # raw_st is the strict filter over the identity view alone
+        views = specs if kind == STRICT else specs[:1]
+        labels = consistency_intersect(
+            [unseen_hard_labels(generator, image, spec, table, space) for spec in views])
+        return PseudoMask(np.where(unlabeled, labels, 0))
 
     # top-p: assign the unseen argmax, rank by its probability under the
     # full seen+unseen softmax, drop the least confident p%
@@ -142,4 +127,4 @@ def generate(
     confidence = probs.values[rows, cols, assigned - 1]  # dense ids: channel = id - 1
     labels = np.where(unlabeled, assigned, 0)
     labels = _top_p_filter(labels, confidence, unlabeled, p)
-    return PseudoMask(labels, f"topp:{p:g}", (specs[0].name(),), generator_id)
+    return PseudoMask(labels)

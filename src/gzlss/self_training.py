@@ -125,31 +125,30 @@ def train_base(dataset, config: TrainConfig, pool: Pool | None = None) -> Backbo
     )
 
 
-def _labeller(params: BackboneParams, dataset, specs, strategy: str, cycle: int):
+def _labeller(params: BackboneParams, dataset, specs, strategy: str):
     return partial(generate, strategy, params, specs=specs, table=dataset.table,
-                   space=dataset.space, generator_id=f"cycle{cycle}")
+                   space=dataset.space)
 
 
 def generate_pseudo(
-    params: BackboneParams, dataset, specs, strategy: str, cycle: int,
-    pool: Pool | None = None,
+    params: BackboneParams, dataset, specs, strategy: str, pool: Pool | None = None,
 ) -> list[PseudoMask]:
     """Pseudo-labels for every training image from one frozen generator.
 
     The images go to the workers as ``Cached`` values, which they keep for
     the training that follows."""
-    return list(map_items(pool, _labeller(params, dataset, specs, strategy, cycle),
+    return list(map_items(pool, _labeller(params, dataset, specs, strategy),
                           [_train_item(dataset.train, i) for i in range(len(dataset.train))]))
 
 
 def stream_pseudo(
-    params: BackboneParams, dataset, samples: Iterable, specs, strategy: str, cycle: int,
+    params: BackboneParams, dataset, samples: Iterable, specs, strategy: str,
     pool: Pool | None = None,
 ) -> Iterator[tuple]:
     """``(sample, pseudo mask)`` for each of ``samples`` in order, drawn as
     the pool needs them; each image crosses the pipe once and no worker
     keeps it.  ``dataset`` supplies the label space and embeddings."""
-    return map_tagged(pool, _labeller(params, dataset, specs, strategy, cycle),
+    return map_tagged(pool, _labeller(params, dataset, specs, strategy),
                       ((s, {"image": s.image, "y": s.train_mask}) for s in samples))
 
 
@@ -179,7 +178,7 @@ def run_cycle(
     then fine-tune a copy of it on real + pseudo supervision."""
     if cycle < 1:
         raise ValueError("cycles are numbered from 1 (0 is base training)")
-    pseudo = generate_pseudo(prev_params, dataset, specs, strategy, cycle, pool)
+    pseudo = generate_pseudo(prev_params, dataset, specs, strategy, pool)
     rng = np.random.default_rng([config.seed, TAG_CYCLE, cycle])
     params = _train_loop(
         prev_params.copy(), dataset.train, pseudo, dataset.table, dataset.space,
@@ -189,7 +188,9 @@ def run_cycle(
 
 
 def _eval_pairs(dataset):
-    pairs = [(s.image, s.hidden_gt) for s in dataset.eval]
+    """(image, ground truth) of each eval image.  Every cycle scores the
+    same images, so they go out as ``Cached`` values that workers keep."""
+    pairs = [(Cached(("eval", i), s.image), s.hidden_gt) for i, s in enumerate(dataset.eval)]
     if any(gt is None for _, gt in pairs):
         raise ValueError("eval split has no ground truth masks")
     return pairs

@@ -125,8 +125,7 @@ def test_criterion_3_consistency_oracle():
         n, m = rng.integers(1, 9, size=2)
         k = int(rng.integers(1, 5))
         grids = [rng.integers(0, 5, size=(n, m)) for _ in range(k)]
-        masks = [pl.PseudoMask(g, "hard", (str(i),)) for i, g in enumerate(grids)]
-        got = pl.consistency_intersect(masks).labels
+        got = pl.consistency_intersect(grids)
 
         brute = grids[0].copy()
         for i in range(n):
@@ -135,10 +134,10 @@ def test_criterion_3_consistency_oracle():
                     brute[i, j] = 0
         ok &= bool(np.array_equal(got, brute))
         # shrinking: adding a view never adds labels
-        sub = pl.consistency_intersect(masks[: max(1, k - 1)]).labels
+        sub = pl.consistency_intersect(grids[: max(1, k - 1)])
         ok &= bool(np.all((got == 0) | (got == sub)))
         # order independence
-        ok &= bool(np.array_equal(got, pl.consistency_intersect(masks[::-1]).labels))
+        ok &= bool(np.array_equal(got, pl.consistency_intersect(grids[::-1])))
         # safety: output labels come from the first mask
         keep = got > 0
         ok &= bool(np.array_equal(got[keep], grids[0][keep]))

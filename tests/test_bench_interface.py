@@ -121,6 +121,14 @@ def test_counters_read_real_parameters(spans, tmp_path):
         bound = inspect.signature(func).bind(*args).arguments  # as spans.py binds them
         assert spans.COUNTERS[name](bound, result) == truth(result), name
 
+    # the pseudo-label counter on the other strategies' results
+    args, truth = calls["pseudo_labeler.generate"]
+    for strategy in ("raw_st", "topp:30"):
+        func = _function("pseudo_labeler.generate")
+        result = func(strategy, *args[1:])
+        bound = inspect.signature(func).bind(strategy, *args[1:]).arguments
+        assert spans.COUNTERS["pseudo_labeler.generate"](bound, result) == truth(result), strategy
+
 
 def test_every_benchmark_command_parses(bench, monkeypatch):
     monkeypatch.chdir(ROOT)  # the commands name the config relative to it

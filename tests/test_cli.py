@@ -495,6 +495,29 @@ def test_resume_refuses_changed_settings(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_resume_writes_nothing(tmp_path, capsys):
+    """``--resume -1`` exits 1 before anything is written, so it cannot
+    replace ``run.cfg`` and let a later resume with other settings in."""
+    data = str(tmp_path / "data")
+    cli.main(["gen-data", "--out", data] + TINY)
+    run = tmp_path / "run"
+    assert cli.main(["selftrain", "--data", data, "--out", str(run)] + FAST) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["selftrain", "--data", data, "--out", str(run), "--resume", "-1"]
+                    + FAST + ["--lam", "9"]) == 1
+    assert "--resume must be 0 or a cycle number, got -1" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert cli.main(["selftrain", "--data", data, "--out", str(run), "--resume", "2"]
+                    + FAST + ["--lam", "9"]) == 1
+    assert "lam=9.0" in capsys.readouterr().err
+    fresh = tmp_path / "fresh"
+    assert cli.main(["selftrain", "--data", data, "--out", str(fresh), "--resume", "-1"]
+                    + FAST) == 1
+    assert not fresh.exists()
+    capsys.readouterr()
+
+
 def test_resume_refuses_another_dataset(tmp_path, capsys):
     """Datasets that differ only in noise: resuming a run on the other one
     would mix two datasets in one history."""

@@ -6,7 +6,7 @@ import pytest
 from gzlss import augmentation as aug
 from gzlss import pseudo_labeler as pl
 from gzlss.label_space import build_label_space, make_embedding_table
-from gzlss.model import forward_backbone, init_backbone, project_probs
+from gzlss.model import argmax_labels, forward_backbone, init_backbone, project_probs
 
 
 def _brute_intersect(label_grids):
@@ -47,28 +47,24 @@ def test_intersect_matches_brute_force():
         n, m = rng.integers(1, 9, size=2)
         k = int(rng.integers(1, 5))
         grids = [rng.integers(0, 4, size=(n, m)) for _ in range(k)]
-        masks = [pl.PseudoMask(g, "hard", (f"v{i}",)) for i, g in enumerate(grids)]
-        got = pl.consistency_intersect(masks)
-        np.testing.assert_array_equal(got.labels, _brute_intersect(grids))
-        assert got.spec_names == tuple(f"v{i}" for i in range(k))
+        np.testing.assert_array_equal(pl.consistency_intersect(grids), _brute_intersect(grids))
 
 
 def test_intersect_shrinks_and_ignores_order():
     rng = np.random.default_rng(32)
     for _ in range(100):
         grids = [rng.integers(0, 3, size=(5, 5)) for _ in range(3)]
-        masks = [pl.PseudoMask(g, "hard", ()) for g in grids]
-        full = pl.consistency_intersect(masks)
-        sub = pl.consistency_intersect(masks[:2])
+        full = pl.consistency_intersect(grids)
+        sub = pl.consistency_intersect(grids[:2])
         # more views can only remove labels
-        assert np.all((full.labels == 0) | (full.labels == sub.labels))
-        perm = pl.consistency_intersect(masks[::-1])
-        np.testing.assert_array_equal(full.labels, perm.labels)
+        assert np.all((full == 0) | (full == sub))
+        perm = pl.consistency_intersect(grids[::-1])
+        np.testing.assert_array_equal(full, perm)
 
 
 def test_intersect_rejects_mismatched_shapes():
-    a = pl.PseudoMask(np.zeros((2, 2), dtype=int), "hard", ())
-    b = pl.PseudoMask(np.zeros((2, 3), dtype=int), "hard", ())
+    a = np.zeros((2, 2), dtype=int)
+    b = np.zeros((2, 3), dtype=int)
     with pytest.raises(ValueError):
         pl.consistency_intersect([a, b])
     with pytest.raises(ValueError):
@@ -158,10 +154,42 @@ def test_top_p_hundred_drops_everything():
     assert np.all(pm.labels == 0)
 
 
-def test_provenance_recorded():
+def _reference_generate(strategy, params, image, y, specs, table, space):
+    """Reference: mask each view to the unlabelled pixels, then intersect;
+    top-p ranks the identity view's assignments by an explicit sort."""
+    kind, p = pl.parse_strategy(strategy)
+    unlabeled = y == 0
+    if kind == pl.TOP_P:
+        feat = forward_backbone(image, params)
+        assigned = argmax_labels(feat, table, space.unseen_ids)
+        probs = project_probs(feat, table, space.all_ids)
+        labels = np.where(unlabeled, assigned, 0)
+        flat = labels.reshape(-1)
+        idx = np.flatnonzero(unlabeled.reshape(-1))
+        conf = np.array([probs.values[k // y.shape[1], k % y.shape[1], flat[k] - 1] for k in idx])
+        flat[idx[np.argsort(conf, kind="stable")[: int(np.floor(p * idx.size / 100.0))]]] = 0
+        return labels
+    views = []
+    for spec in specs if kind == pl.STRICT else specs[:1]:
+        hard = argmax_labels(forward_backbone(aug.apply(spec, image), params), table,
+                             space.unseen_ids)
+        views.append(np.where(unlabeled, aug.invert_mask(spec, hard, y.shape), 0))
+    labels = views[0].copy()
+    for view in views[1:]:
+        labels = np.where(labels == view, labels, 0)
+    return labels
+
+
+def test_generate_bitwise_equals_mask_then_intersect():
+    """Masking once, on the intersection, gives the bytes of masking every
+    view first, for all three strategies on random parameters and sizes."""
     rng = np.random.default_rng(39)
-    space, table, params, image, y = _setup(rng)
-    pm = pl.generate("strict", params, image, y, SPECS, table, space, generator_id="c3")
-    assert pm.strategy == "strict"
-    assert pm.generator_id == "c3"
-    assert pm.spec_names[0] == "identity"
+    specs = aug.parse_spec_list("identity,mirror,scale=3/2,scale=1/2,scale=5/4")
+    for strategy in ("strict", "raw_st", "topp:30"):
+        for _ in range(4):
+            n, m = (int(v) for v in rng.integers(3, 11, size=2))
+            space, table, params, image, y = _setup(rng, n, m)
+            got = pl.generate(strategy, params, image, y, specs, table, space).labels
+            want = _reference_generate(strategy, params, image, y, specs, table, space)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), strategy

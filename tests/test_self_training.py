@@ -124,7 +124,7 @@ def test_fully_labeled_dataset_degenerates_to_seen_only():
     ds = sd.generate(cfg)
     assert sum(int((s.train_mask == 0).sum()) for s in ds.train) == 0
     base = st.train_base(ds, _tc(cycles=2))
-    pseudo = st.generate_pseudo(base, ds, SPECS, "strict", 1)
+    pseudo = st.generate_pseudo(base, ds, SPECS, "strict")
     assert all(not m.labels.any() for m in pseudo)
     ps, rs = st.strict_train(ds, _tc(cycles=2), SPECS, "strict")
     pr, _ = st.strict_train(ds, _tc(cycles=2), SPECS[:1], "raw_st")
