@@ -14,7 +14,9 @@ format, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import os
 import sys
@@ -256,8 +258,12 @@ def _cmd_selftrain(args, cfg: dict, pool) -> int:
     if args.resume > 0:
         _check_resume_settings(cfg, run_cfg, args.data)
         start_params = load_checkpoint(os.path.join(args.out, f"cycle_{args.resume - 1:03d}.ckpt"))
-        history = [r for r in self_training.read_history_csv(
-            os.path.join(args.out, self_training.HISTORY_FILE)) if r.cycle < args.resume]
+        path = os.path.join(args.out, self_training.HISTORY_FILE)
+        history = [r for r in self_training.read_history_csv(path) if r.cycle < args.resume]
+        if [r.cycle for r in history] != list(range(args.resume)):
+            raise FormatError(
+                f"{path}: --resume {args.resume} needs the rows of cycles 0 to "
+                f"{args.resume - 1}, found {', '.join(str(r.cycle) for r in history) or 'none'}")
     else:
         with open(run_cfg, "w", encoding="utf-8") as fh:
             fh.write(_dataset_line(args.data))
@@ -378,9 +384,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run this process's GEMMs on one OpenBLAS thread, as the workers do:
+    on these small matrices a second thread only spins.  NumPy's bundled
+    OpenBLAS exports the setter; without that library this does nothing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable here, or another build
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
+    _one_blas_thread()
     try:
         cfg = load_config(args.config, extras)
         workers = 1 if args.func in _IN_PROCESS else min(parallel.usable_cpus(),

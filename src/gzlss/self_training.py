@@ -71,11 +71,59 @@ def _batch_indices(n: int, batch_size: int, iters: int, rng):
         order = order[batch_size:]
 
 
-def _train_item(samples, idx: int) -> dict:
-    """Training image ``idx`` and its mask as the ``image`` and ``y``
-    keywords, which pool workers keep once they have them."""
-    return {"image": Cached(("image", int(idx)), samples[idx].image),
-            "y": Cached(("mask", int(idx)), samples[idx].train_mask)}
+def _train_arrays(samples, pseudo: list[PseudoMask] | None = None) -> tuple:
+    """The training images, masks and pseudo masks (None without
+    ``pseudo``) as lists of ``Cached`` values, which pool workers keep once
+    they have them."""
+    return ([Cached(("image", i), s.image) for i, s in enumerate(samples)],
+            [Cached(("mask", i), s.train_mask) for i, s in enumerate(samples)],
+            None if pseudo is None else
+            [Cached(("pseudo", i), p.labels) for i, p in enumerate(pseudo)])
+
+
+def _share(batch_size: int, rank: int, size: int) -> slice:
+    """Rank ``rank``'s contiguous slice of a batch; sizes differ by at most one."""
+    q, r = divmod(batch_size, size)
+    lo = rank * q + min(rank, r)
+    return slice(lo, lo + q + (rank < r))
+
+
+def _add_grads(acc: tuple, results: list) -> tuple:
+    """(gradient sums, pixels) ``acc`` plus ``results``, image by image."""
+    sums, pixels = acc
+    for res in results:
+        for a, g in zip(sums, res.grad_weights + res.grad_biases):
+            a += g
+        pixels += res.contributing_pixels
+    return sums, pixels
+
+
+def _train_rank(
+    link, params: BackboneParams, images: list, masks: list, pseudo: list | None,
+    table: EmbeddingTable, space: LabelSpace, cfg: TrainConfig, batches: np.ndarray,
+) -> BackboneParams | None:
+    """One rank's part of ``_train_loop``: the per-image gradients of its
+    slice of every batch, summed along the chain in batch order.  Every
+    rank takes the same step on the same sum, so all hold the same
+    weights; rank 0 returns them."""
+    params = params.copy()  # the caller's, or read-only as a worker received them
+    state = init_optimizer(params, len(batches), cfg)
+    share = _share(cfg.batch_size, link.rank, link.size)
+    layers = len(params.weights)
+
+    def grads(indices):
+        return [backward(images[i], params, table, space, masks[i],
+                         None if pseudo is None else pseudo[i], cfg.lam) for i in indices]
+
+    for batch in batches:
+        start = ([np.zeros_like(p) for p in params.weights + params.biases], 0)
+        sums, pixels = link.fold(partial(grads, batch[share]), _add_grads, start)
+        if pixels == 0:
+            state.iteration += 1  # keep the schedule aligned, no step
+            continue
+        steps = [g / pixels for g in sums]
+        sgd_step(params, steps[:layers], steps[layers:], state)
+    return params if link.rank == 0 else None
 
 
 def _train_loop(
@@ -89,27 +137,31 @@ def _train_loop(
     rng,
     pool: Pool | None = None,
 ) -> BackboneParams:
-    """SGD with batch gradients normalized by the contributing pixel count.
+    """SGD with batch gradients normalized by the contributing pixel count,
+    from a copy of ``params``.
 
-    The per-image gradients come back in batch order and are summed here
-    in that order, so the sums do not depend on the pool."""
-    state = init_optimizer(params, iters, cfg)
-    grads = partial(backward, params=params, table=table, space=space, lam=cfg.lam)
-    for batch in _batch_indices(len(samples), cfg.batch_size, iters, rng):
-        sum_w = [np.zeros_like(w) for w in params.weights]
-        sum_b = [np.zeros_like(b) for b in params.biases]
-        pixels = 0
-        items = [dict(_train_item(samples, idx), ybar=None if pseudo is None
-                      else Cached(("pseudo", int(idx)), pseudo[idx].labels)) for idx in batch]
-        for res in map_items(pool, grads, items):
-            for acc, g in zip(sum_w + sum_b, res.grad_weights + res.grad_biases):
-                acc += g
-            pixels += res.contributing_pixels
-        if pixels == 0:
-            state.iteration += 1  # keep the schedule aligned, no step
-            continue
-        sgd_step(params, [g / pixels for g in sum_w], [g / pixels for g in sum_b], state)
-    return params
+    Each rank of the pool's chain (in-process, rank 0 of 1) gets the whole
+    batch schedule and the images of its slices as ``Cached`` values.  The
+    per-image gradients are summed in batch order along the chain, so the
+    sums do not depend on the pool."""
+    batches = np.array(list(_batch_indices(len(samples), cfg.batch_size, iters, rng)),
+                       dtype=np.int64).reshape(iters, cfg.batch_size)
+    pool = Pool(1) if pool is None else pool
+    size = pool.size
+    images, masks, labels = _train_arrays(samples, pseudo)
+
+    def task(rank):
+        used = set(batches[:, _share(cfg.batch_size, rank, size)].flat)
+
+        def mine(values):  # None for the images this rank never uses
+            return None if values is None else [c if i in used else None
+                                                for i, c in enumerate(values)]
+
+        return {"params": params, "table": table, "space": space, "cfg": cfg,
+                "batches": batches, "images": mine(images), "masks": mine(masks),
+                "pseudo": mine(labels)}
+
+    return pool.chain(_train_rank, [task(r) for r in range(size)])[0]
 
 
 def train_base(dataset, config: TrainConfig, pool: Pool | None = None) -> BackboneParams:
@@ -137,8 +189,9 @@ def generate_pseudo(
 
     The images go to the workers as ``Cached`` values, which they keep for
     the training that follows."""
+    images, masks, _ = _train_arrays(dataset.train)
     return list(map_items(pool, _labeller(params, dataset, specs, strategy),
-                          [_train_item(dataset.train, i) for i in range(len(dataset.train))]))
+                          [{"image": im, "y": m} for im, m in zip(images, masks)]))
 
 
 def stream_pseudo(
@@ -175,13 +228,13 @@ def run_cycle(
     pool: Pool | None = None,
 ) -> tuple[BackboneParams, list[PseudoMask]]:
     """One self-training cycle: pseudo-label with the frozen previous model,
-    then fine-tune a copy of it on real + pseudo supervision."""
+    then fine-tune it, as a copy, on real + pseudo supervision."""
     if cycle < 1:
         raise ValueError("cycles are numbered from 1 (0 is base training)")
     pseudo = generate_pseudo(prev_params, dataset, specs, strategy, pool)
     rng = np.random.default_rng([config.seed, TAG_CYCLE, cycle])
     params = _train_loop(
-        prev_params.copy(), dataset.train, pseudo, dataset.table, dataset.space,
+        prev_params, dataset.train, pseudo, dataset.table, dataset.space,
         config, config.cycle_iters, rng, pool,
     )
     return params, pseudo

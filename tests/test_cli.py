@@ -179,9 +179,9 @@ def test_eval_starts_no_worker(trained, tmp_path, capsys, monkeypatch):
     data, ckpt = trained
     started = []
 
-    def worker(ctx):
+    def worker(ctx, *args):
         started.append(ctx)
-        return real_worker(ctx)
+        return real_worker(ctx, *args)
 
     real_worker = parallel._Worker
     monkeypatch.setattr(parallel, "_Worker", worker)
@@ -205,8 +205,9 @@ def test_eval_starts_no_worker(trained, tmp_path, capsys, monkeypatch):
 
 def _record_map(monkeypatch, sent):
     """Append every item ``Pool.map`` draws to ``sent``, drawing a list as a
-    list and any other iterable as lazily as ``Pool.map`` itself does."""
-    real_map = parallel.Pool.map
+    list and any other iterable as lazily as ``Pool.map`` itself does, and
+    every item of ``Pool.chain``."""
+    real_map, real_chain = parallel.Pool.map, parallel.Pool.chain
 
     def recording_map(self, func, items):
         if isinstance(items, list):
@@ -214,7 +215,20 @@ def _record_map(monkeypatch, sent):
             return real_map(self, func, items)
         return real_map(self, func, (sent.append(item) or item for item in items))
 
+    def recording_chain(self, func, items):
+        sent.extend(items)
+        return real_chain(self, func, items)
+
     monkeypatch.setattr(parallel.Pool, "map", recording_map)
+    monkeypatch.setattr(parallel.Pool, "chain", recording_chain)
+
+
+def _cached(item):
+    """The ``Cached`` arguments of ``item``, also those inside a list."""
+    for v in item.values():
+        for c in v if isinstance(v, list) else [v]:
+            if isinstance(c, parallel.Cached):
+                yield c
 
 
 def test_train_base_scores_eval_images_in_process(trained, tmp_path, capsys, monkeypatch):
@@ -226,7 +240,7 @@ def test_train_base_scores_eval_images_in_process(trained, tmp_path, capsys, mon
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     out = tmp_path / "base.ckpt"
     assert cli.main(["train-base", "--data", str(data), "--out", str(out)] + FAST) == 0
-    keys = {v.key[0] for item in sent for v in item.values() if isinstance(v, parallel.Cached)}
+    keys = {c.key[0] for item in sent for c in _cached(item)}
     assert keys == {"image", "mask"}
     assert out.read_bytes() == ckpt.read_bytes()
 
@@ -250,7 +264,7 @@ def test_pseudo_sends_plain_values_and_selftrain_cached(trained, tmp_path, capsy
         sent.clear()
         assert cli.main(argv + ["--data", str(data)] + FAST) == 0
         assert sent
-        assert any(isinstance(v, parallel.Cached) for item in sent for v in item.values()) == want
+        assert any(True for item in sent for _ in _cached(item)) == want
     capsys.readouterr()
 
 
@@ -531,6 +545,28 @@ def test_resume_refuses_another_dataset(tmp_path, capsys):
     assert cli.main(["selftrain", "--data", b, "--out", run, "--resume", "2"] + FAST) == 1
     assert f"--resume with dataset {b}" in capsys.readouterr().err
     assert cli.main(["selftrain", "--data", a, "--out", run, "--resume", "2"] + FAST) == 0
+    capsys.readouterr()
+
+
+def test_resume_refuses_a_history_with_a_gap(tmp_path, capsys):
+    """``--resume N`` needs the history rows of cycles 0..N-1: with rows 0
+    and 1 alone, ``--resume 3`` would write a history of cycles 0, 1, 3."""
+    smoke = str(CONFIGS / "smoke.cfg")
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-data", "--config", smoke, "--out", data]) == 0
+    assert cli.main(["selftrain", "--config", smoke, "--data", data, "--out", str(run)]) == 0
+    history = run / "history.csv"
+    history.write_text("".join(history.read_text().splitlines(keepends=True)[:4]))  # rows 0-1
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["selftrain", "--config", smoke, "--data", data, "--out", str(run),
+                     "--resume", "3"]) == 2
+    err = capsys.readouterr().err
+    assert str(history) in err and "cycles 0 to 2, found 0, 1" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert cli.main(["selftrain", "--config", smoke, "--data", data, "--out", str(run),
+                     "--resume", "2"]) == 0
+    assert [r.cycle for r in read_history_csv(history)] == [0, 1, 2, 3]
     capsys.readouterr()
 
 

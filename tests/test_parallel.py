@@ -1,4 +1,5 @@
-"""The worker pool: same bytes as in-process, errors raised, workers reaped."""
+"""The worker pool and its training chain: same bytes as in-process, errors
+raised, workers reaped."""
 
 import os
 import signal
@@ -11,9 +12,11 @@ import pytest
 
 from gzlss import augmentation as aug
 from gzlss import cli, parallel
+from gzlss import self_training as st
 from gzlss import synthetic_data as sd
 from gzlss.errors import FormatError, NumericError
-from gzlss.model import backward, infer_gzs, init_backbone
+from gzlss.model import (TrainConfig, backward, infer_gzs, init_backbone, init_optimizer,
+                         sgd_step)
 from gzlss.pseudo_labeler import generate
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -60,18 +63,6 @@ def tiny():
 def pool():
     with parallel.Pool(2) as p:
         yield p
-
-
-def test_chunks_cover_items_in_order():
-    for n in range(0, 30):
-        for workers in (2, 3, 5):
-            chunks = parallel._chunks(list(range(n)), workers)
-            assert [x for c in chunks for x in c] == list(range(n))
-            sizes = [len(c) for c in chunks]
-            assert all(1 <= s <= parallel.MAX_CHUNK for s in sizes)
-            assert max(sizes, default=0) - min(sizes, default=0) <= 1
-            assert len(chunks) >= min(workers, n)
-    assert [len(c) for c in parallel._chunks(list(range(4)), 3)] == [2, 1, 1]
 
 
 def test_pool_results_equal_in_process_bitwise(tiny, pool):
@@ -197,16 +188,16 @@ def test_history_bytes_do_not_depend_on_cpu_count(tmp_path, capsys, monkeypatch)
     data = str(tmp_path / "data")
     assert cli.main(["gen-data", "--config", SMOKE, "--out", data]) == 0
     history = {}
-    for cpus in (1, 3):  # 3 workers split batch 4 as 2, 1, 1
+    for cpus in (1, 2, 3):  # 3 workers split batch 4 as 2, 1, 1
         started = _recording_pools(monkeypatch, cpus)
         run = tmp_path / f"run{cpus}"
         assert cli.main(["selftrain", "--config", SMOKE, "--data", data,
                          "--out", str(run)]) == 0
-        assert len(started) == (0 if cpus == 1 else 3)
+        assert len(started) == (0 if cpus == 1 else cpus)
         _assert_reaped(started)
         history[cpus] = (run / "history.csv").read_bytes()
         monkeypatch.undo()
-    assert history[1] == history[3]
+    assert history[1] == history[2] == history[3]
     capsys.readouterr()
 
 
@@ -263,3 +254,117 @@ def test_map_tagged_pairs_tags_with_results(pool):
     pairs = ((f"tag{i}", {"x": i, "seconds": 0}) for i in range(11))
     assert list(parallel.map_tagged(pool, _slow_echo, pairs)) == [
         (f"tag{i}", i) for i in range(11)]
+
+
+def _reference_train(params, samples, pseudo, table, space, cfg, iters, rng):
+    """The training loop as one process would write it: each batch's
+    per-image gradients summed in batch order, then one SGD step."""
+    params = params.copy()
+    state = init_optimizer(params, iters, cfg)
+    layers = len(params.weights)
+    for batch in st._batch_indices(len(samples), cfg.batch_size, iters, rng):
+        sums = [np.zeros_like(p) for p in params.weights + params.biases]
+        pixels = 0
+        for i in batch:
+            res = backward(samples[i].image, params, table, space, samples[i].train_mask,
+                           pseudo[i].labels, cfg.lam)
+            for a, g in zip(sums, res.grad_weights + res.grad_biases):
+                a += g
+            pixels += res.contributing_pixels
+        if pixels == 0:
+            state.iteration += 1
+            continue
+        steps = [g / pixels for g in sums]
+        sgd_step(params, steps[:layers], steps[layers:], state)
+    return params
+
+
+def test_train_loop_bitwise_equal_on_every_chain(tiny):
+    """In-process and on chains of 2 and 3 ranks, with batches that split
+    unevenly (5 as 3+2 and 2+2+1, 8 as 3+3+2, 9 as 5+4), the weights equal
+    the one-process loop's byte for byte."""
+    params = init_backbone(6, 4, (5,), 3, np.random.default_rng(0))
+    specs = aug.parse_spec_list("identity,mirror,scale=3/2")
+    pseudo = [generate("strict", params, s.image, s.train_mask, specs, tiny.table, tiny.space)
+              for s in tiny.train]
+    with parallel.Pool(2) as two, parallel.Pool(3) as three:
+        for batch_size in (5, 8, 9):
+            cfg = TrainConfig(lam=2.0, batch_size=batch_size, base_lr=0.3, hidden=(5,), window=3)
+            want = _reference_train(params, tiny.train, pseudo, tiny.table, tiny.space, cfg, 7,
+                                    np.random.default_rng(batch_size))
+            for pool in (None, two, three):
+                got = st._train_loop(params, tiny.train, pseudo, tiny.table, tiny.space, cfg, 7,
+                                     np.random.default_rng(batch_size), pool)
+                for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                    assert a.tobytes() == b.tobytes(), (batch_size, pool and pool.size)
+
+
+def test_numeric_error_on_rank_1_exits_3_and_releases_rank_0(tmp_path, capsys, monkeypatch):
+    """A NaN in the image that rank 1 of 2 meets first, at the second step
+    of train-base: rank 1 raises, the error goes along the chain, and both
+    workers exit on their own rather than being terminated."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", SMOKE, "--out", str(data)]) == 0
+    tc = cli._build(TrainConfig, cli.load_config(SMOKE, []))
+    ds = sd.load_dataset(str(data), splits=("train",))
+    rng = np.random.default_rng([tc.seed, st.TAG_BASE])
+    init_backbone(ds.train[0].image.shape[0], ds.table.dim, tc.hidden, tc.window, rng)
+    batches = list(st._batch_indices(len(ds.train), tc.batch_size, 2, rng))
+    bad = int(batches[1][st._share(tc.batch_size, 1, 2)][0])
+    assert bad not in batches[0]
+    image = ds.train[bad].image.copy()
+    image[0, 0, 0] = np.nan
+    sd.write_feat(image, str(data / "train" / f"img_{bad:04d}.feat"))
+
+    started = _recording_pools(monkeypatch, 2)
+    assert cli.main(["train-base", "--config", SMOKE, "--data", str(data),
+                     "--out", str(tmp_path / "base.ckpt")]) == 3
+    assert "numeric error: non-finite gradient" in capsys.readouterr().err
+    assert len(started) == 2
+    _assert_reaped(started)
+    assert [p.exitcode for p in started] == [0, 0]
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_killed_rank_raises_worker_error(tiny, victim):
+    """A rank SIGKILLed mid-loop: WorkerError, no hang, and the other rank
+    exits on its own."""
+    params = init_backbone(6, 4, (5,), 3, np.random.default_rng(0))
+    cfg = TrainConfig(batch_size=4, hidden=(5,), window=3)
+    outcome = {}
+
+    def run(p):
+        try:
+            st._train_loop(params, tiny.train, None, tiny.table, tiny.space, cfg, 20000,
+                           np.random.default_rng(0), p)
+        except parallel.WorkerError as exc:
+            outcome["error"] = exc
+
+    p = parallel.Pool(2)
+    procs = p.processes
+    try:
+        trainer = threading.Thread(target=run, args=(p,))
+        trainer.start()
+        time.sleep(1.0)  # both ranks are in the loop by now
+        os.kill(procs[victim].pid, signal.SIGKILL)
+        trainer.join(JOIN)
+        assert not trainer.is_alive()
+    finally:
+        p.close()
+    assert "exited with code -9" in str(outcome["error"])
+    _assert_reaped(procs)
+    assert procs[1 - victim].exitcode == 0
+
+
+def _held_kinds(link):
+    return sorted({key[0] for key in parallel._held})
+
+
+def test_workers_hold_only_images_masks_pseudo_and_eval(tiny):
+    """After a run, a worker keeps the images, masks, pseudo masks and
+    eval images it was sent, and nothing of the training tasks."""
+    cfg = TrainConfig(base_iters=4, cycle_iters=4, cycles=1, batch_size=4, hidden=(5,),
+                      window=3)
+    with parallel.Pool(2) as p:
+        st.strict_train(tiny, cfg, aug.parse_spec_list("identity,mirror"), pool=p)
+        assert p.chain(_held_kinds, [{}, {}]) == [["eval", "image", "mask", "pseudo"]] * 2
