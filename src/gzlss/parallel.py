@@ -101,17 +101,20 @@ class Link:
         self.rank, self.size, self.prev, self.next = rank, size, prev, next
 
     def _recv(self, conn):
+        """The next value from a neighbour, or the ``_Failed`` of its death."""
         _wait(conn)
         try:
             return conn.recv()
         except (EOFError, OSError) as exc:
-            raise WorkerError(f"rank {self.rank} lost a neighbour ({type(exc).__name__})") from exc
+            lost = WorkerError(f"rank {self.rank} lost a neighbour ({type(exc).__name__})")
+            return _Failed(lost, traceback.format_exc())
 
-    def _send(self, conn, value) -> None:
+    @staticmethod
+    def _send(conn, value) -> None:
         try:
             conn.send(value)
-        except OSError as exc:
-            raise WorkerError(f"rank {self.rank} lost a neighbour ({type(exc).__name__})") from exc
+        except OSError:  # a dead neighbour: the receive from it fails instead
+            pass
 
     def fold(self, compute: Callable, add: Callable, start):
         """``add(acc, compute())`` on each rank in rank order: rank 0 adds
@@ -120,10 +123,10 @@ class Link:
 
         ``compute`` runs before the rank waits for its predecessor, so the
         ranks compute at once and only the additions take turns.  When
-        ``compute`` or ``add`` raises, the exception goes along the chain
-        in place of the sum, and every rank raises the one of the lowest
-        rank that failed, so no rank waits for a sum that never comes.  A
-        neighbour that died raises ``WorkerError``.
+        ``compute`` or ``add`` raises, or a neighbour dies, the exception
+        (``WorkerError`` for a death) goes along the chain in place of the
+        sum, on both sides of a dead rank, and every live rank raises the
+        one that reached it, so no rank waits for a sum that never comes.
         """
         if self.size == 1:
             return add(start, compute())
@@ -173,20 +176,16 @@ def _drawn_chunks(items: Iterator) -> Iterator[list]:
         yield chunk
 
 
-# what a worker process keeps: Cached values by key, until its pool closes
-# (in the parent it stays empty)
-_held: dict = {}
-
-
 def _serve(conn, link: Link) -> None:
     """Worker loop: compute chunks until the parent sends None or goes away.
     A chained task's function also gets this worker's ``link``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and closes the pool
     func_bytes = func = None
+    held = {}  # Cached values by key, kept until the pool closes
 
     def keep(c):
         if isinstance(c, Cached):
-            _held[c.key] = c.value
+            held[c.key] = c.value
 
     while True:
         _wait(conn)
@@ -207,7 +206,7 @@ def _serve(conn, link: Link) -> None:
                 _swap(v, keep)
         try:
             reply = (True, [
-                func(**{k: _swap(v, lambda c: _held[c.key]) for k, v in item.items()}, **extra)
+                func(**{k: _swap(v, lambda c: held[c.key]) for k, v in item.items()}, **extra)
                 for item in items
             ])
         except Exception as exc:  # returned to the parent, which raises it
@@ -321,17 +320,16 @@ class Pool:
         if workers and not self._ctx.active_children():
             _stop_resource_tracker()
 
-    def _lost(self, w: _Worker, exc: Exception) -> WorkerError:
+    def _lost(self, w: _Worker, why: str) -> WorkerError:
         pid = w.process.pid
         self.close()
-        return WorkerError(f"worker process {pid} exited with code {w.process.exitcode} "
-                           f"({type(exc).__name__})")
+        return WorkerError(f"worker process {pid} exited with code {w.process.exitcode} ({why})")
 
     def _receive(self, w: _Worker):
         try:
             return w.conn.recv()
         except (EOFError, OSError) as exc:
-            raise self._lost(w, exc) from exc
+            raise self._lost(w, type(exc).__name__) from exc
 
     def map(self, func: Callable, items: Iterable[dict]) -> Iterator:
         """Yield ``func(**item)`` for every item, in item order.
@@ -370,7 +368,7 @@ class Pool:
             try:
                 w.send(func_bytes, chunk)
             except OSError as exc:
-                raise self._lost(w, exc) from exc
+                raise self._lost(w, type(exc).__name__) from exc
             sent += 1
 
         try:
@@ -403,21 +401,32 @@ class Pool:
         The workers pass sums along the chain with ``Link.fold``.  When one
         raises, every rank raises the same exception, which is raised here
         once every reply is back.  A worker that dies closes the pool and
-        raises ``WorkerError``; its neighbours' folds then raise too, so no
-        worker is left waiting.
+        raises ``WorkerError`` as soon as it is seen, whichever rank it is.
         """
         if not self._workers:
             return [_call(func, items[0], link=Link())]
-        if len(items) != len(self._workers):
-            raise ValueError(f"a chain of {len(self._workers)} ranks needs as many items, "
+        from multiprocessing.connection import wait
+
+        workers = self._workers
+        if len(items) != len(workers):
+            raise ValueError(f"a chain of {len(workers)} ranks needs as many items, "
                              f"got {len(items)}")
         func_bytes = pickle.dumps(func, pickle.HIGHEST_PROTOCOL)
-        for w, item in zip(self._workers, items):
+        for w, item in zip(workers, items):
             try:
                 w.send(func_bytes, [item], chained=True)
             except OSError as exc:
-                raise self._lost(w, exc) from exc
-        replies = [self._receive(w) for w in self._workers]
+                raise self._lost(w, type(exc).__name__) from exc
+        # wait on every worker at once: a dead rank is seen whichever it is
+        replies = [None] * len(workers)
+        while None in replies:
+            ready = wait([w.conn for w, reply in zip(workers, replies) if reply is None]
+                         + [w.process.sentinel for w in workers])
+            for r, w in enumerate(workers):
+                if w.conn in ready:
+                    replies[r] = self._receive(w)
+                elif w.process.sentinel in ready:
+                    raise self._lost(w, "exited")
         for ok, value in replies:
             if not ok:
                 exc, text = value

@@ -1,6 +1,8 @@
 """The worker pool and its training chain: same bytes as in-process, errors
 raised, workers reaped."""
 
+import multiprocessing
+import operator
 import os
 import signal
 import threading
@@ -325,10 +327,39 @@ def test_numeric_error_on_rank_1_exits_3_and_releases_rank_0(tmp_path, capsys, m
     assert [p.exitcode for p in started] == [0, 0]
 
 
-@pytest.mark.parametrize("victim", [0, 1])
+@pytest.mark.parametrize("lost", [0, 1, 2])
+def test_fold_releases_the_live_ranks_of_a_lost_one(lost):
+    """The ranks of a chain of 3 as threads, with the pipes of one rank
+    closed as if it had died: every live rank's fold raises WorkerError
+    rather than waiting for a sum that never comes."""
+    pipes = [multiprocessing.Pipe() for _ in range(2)]
+    links = [parallel.Link(r, 3, pipes[r - 1][1] if r else None, pipes[r][0] if r < 2 else None)
+             for r in range(3)]
+    for conn in (links[lost].prev, links[lost].next):
+        if conn is not None:
+            conn.close()
+    errors = {}
+
+    def run(r):
+        try:
+            links[r].fold(lambda: r, operator.add, 0)
+        except parallel.WorkerError as exc:
+            errors[r] = str(exc)
+
+    live = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(3) if r != lost]
+    for t in live:
+        t.start()
+    for t in live:
+        t.join(JOIN)
+    assert not any(t.is_alive() for t in live)
+    assert sorted(errors) == [r for r in range(3) if r != lost]
+    assert all("lost a neighbour" in e for e in errors.values())
+
+
+@pytest.mark.parametrize("victim", [0, 1, 2])
 def test_killed_rank_raises_worker_error(tiny, victim):
-    """A rank SIGKILLed mid-loop: WorkerError, no hang, and the other rank
-    exits on its own."""
+    """A rank of 3 SIGKILLed mid-loop, at either end or in the middle:
+    WorkerError, no hang, and the other ranks exit on their own."""
     params = init_backbone(6, 4, (5,), 3, np.random.default_rng(0))
     cfg = TrainConfig(batch_size=4, hidden=(5,), window=3)
     outcome = {}
@@ -340,12 +371,12 @@ def test_killed_rank_raises_worker_error(tiny, victim):
         except parallel.WorkerError as exc:
             outcome["error"] = exc
 
-    p = parallel.Pool(2)
+    p = parallel.Pool(3)
     procs = p.processes
     try:
         trainer = threading.Thread(target=run, args=(p,))
         trainer.start()
-        time.sleep(1.0)  # both ranks are in the loop by now
+        time.sleep(1.5)  # every rank is in the loop by now
         os.kill(procs[victim].pid, signal.SIGKILL)
         trainer.join(JOIN)
         assert not trainer.is_alive()
@@ -353,18 +384,15 @@ def test_killed_rank_raises_worker_error(tiny, victim):
         p.close()
     assert "exited with code -9" in str(outcome["error"])
     _assert_reaped(procs)
-    assert procs[1 - victim].exitcode == 0
-
-
-def _held_kinds(link):
-    return sorted({key[0] for key in parallel._held})
+    assert [q.exitcode for q in procs] == [-9 if r == victim else 0 for r in range(3)]
 
 
 def test_workers_hold_only_images_masks_pseudo_and_eval(tiny):
-    """After a run, a worker keeps the images, masks, pseudo masks and
-    eval images it was sent, and nothing of the training tasks."""
+    """After a run, each worker was sent, to keep, the images, masks,
+    pseudo masks and eval images, and nothing of the training tasks."""
     cfg = TrainConfig(base_iters=4, cycle_iters=4, cycles=1, batch_size=4, hidden=(5,),
                       window=3)
     with parallel.Pool(2) as p:
         st.strict_train(tiny, cfg, aug.parse_spec_list("identity,mirror"), pool=p)
-        assert p.chain(_held_kinds, [{}, {}]) == [["eval", "image", "mask", "pseudo"]] * 2
+        assert [sorted({key[0] for key in w.sent}) for w in p._workers] == [
+            ["eval", "image", "mask", "pseudo"]] * 2
