@@ -11,6 +11,7 @@ the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -73,33 +74,54 @@ def scaled_size(size: tuple[int, int], spec: AugmentationSpec) -> tuple[int, int
     return out
 
 
+@cache
 def _nearest_index(n_dst: int, n_src: int) -> np.ndarray:
-    # floor((i + 0.5) * n_src / n_dst) in exact integer arithmetic, clamped
+    """Read-only source index of each of ``n_dst`` nearest-neighbour taps:
+    floor((i + 0.5) * n_src / n_dst) in exact integer arithmetic, clamped."""
     i = np.arange(n_dst, dtype=np.int64)
-    idx = ((2 * i + 1) * n_src) // (2 * n_dst)
-    return np.clip(idx, 0, n_src - 1)
+    idx = np.clip(((2 * i + 1) * n_src) // (2 * n_dst), 0, n_src - 1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _nearest_resize(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    h, w = mask.shape
+    return mask.take(_nearest_index(out_h, h), axis=0).take(_nearest_index(out_w, w), axis=1)
+
+
+@cache
+def _bilinear_taps(n_src: int, n_dst: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``(i0, i1, 1 - t, t)`` of a bilinear resample of one axis
+    from ``n_src`` to ``n_dst`` samples; output i blends sources i0 and i1."""
+    pos = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
+    i0f = np.floor(pos)
+    t = pos - i0f
+    i0 = i0f.astype(np.int64)
+    taps = (np.clip(i0, 0, n_src - 1), np.clip(i0 + 1, 0, n_src - 1), 1 - t, t)
+    for a in taps:
+        a.flags.writeable = False
+    return taps
 
 
 def _bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    c, h, w = image.shape
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0f = np.floor(ys)
-    x0f = np.floor(xs)
-    ty = ys - y0f
-    tx = xs - x0f
-    y0 = np.clip(y0f.astype(np.int64), 0, h - 1)
-    y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
-    x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
-    x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    ty = ty[None, :, None]
-    tx = tx[None, None, :]
+    _, h, w = image.shape
+    y0, y1, wy0, wy1 = _bilinear_taps(h, out_h)
+    x0, x1, wx0, wx1 = _bilinear_taps(w, out_w)
     # separable: each source row is interpolated horizontally once, then the
     # rows are blended; the same float64 products and sums as interpolating
     # each gathered row pair, so the bytes are the same
-    src = image.astype(np.float64)
-    hor = src[:, :, x0] * (1 - tx) + src[:, :, x1] * tx
-    return hor[:, y0] * (1 - ty) + hor[:, y1] * ty
+    src = image.astype(np.float64, copy=False)
+    hor = src.take(x0, axis=2)
+    hor *= wx0
+    right = src.take(x1, axis=2)
+    right *= wx1
+    hor += right
+    out = hor.take(y0, axis=1)
+    out *= wy0[:, None]
+    below = hor.take(y1, axis=1)
+    below *= wy1[:, None]
+    out += below
+    return out
 
 
 def apply(spec: AugmentationSpec, image: np.ndarray) -> np.ndarray:
@@ -124,10 +146,7 @@ def apply_mask(spec: AugmentationSpec, mask: np.ndarray) -> np.ndarray:
         return mask.copy()
     if spec.kind == MIRROR:
         return mask[:, ::-1].copy()
-    out_h, out_w = scaled_size(mask.shape, spec)
-    rows = _nearest_index(out_h, mask.shape[0])
-    cols = _nearest_index(out_w, mask.shape[1])
-    return mask[rows[:, None], cols[None, :]]
+    return _nearest_resize(mask, *scaled_size(mask.shape, spec))
 
 
 def invert_mask(
@@ -145,10 +164,7 @@ def invert_mask(
         return mask.copy()
     if spec.kind == MIRROR:
         return mask[:, ::-1].copy()
-    n, m = original_size
-    rows = _nearest_index(n, mask.shape[0])
-    cols = _nearest_index(m, mask.shape[1])
-    return mask[rows[:, None], cols[None, :]]
+    return _nearest_resize(mask, *original_size)
 
 
 def parse_spec(text: str) -> AugmentationSpec:

@@ -105,11 +105,22 @@ def generate(
     table: EmbeddingTable,
     space: LabelSpace,
 ) -> PseudoMask:
-    """Produce the pseudo-label mask for one image under a named strategy."""
+    """Produce the pseudo-label mask for one image under a named strategy.
+
+    Every strategy labels only unlabelled pixels, so a mask with none gets
+    the empty mask without a view being run."""
     kind, p = parse_strategy(strategy)
     if not specs or specs[0].kind != augmentation.IDENTITY:
         raise ValueError("augmentation spec list must begin with identity")
+    image = np.asarray(image)
+    if image.ndim != 3 or image.shape[0] != generator.in_channels:
+        raise ValueError(f"expected a ({generator.in_channels}, N, M) image, "
+                         f"got shape {image.shape}")
     unlabeled = unlabeled_pixels(y)
+    if unlabeled.shape != image.shape[1:]:
+        raise ValueError(f"mask shape {unlabeled.shape} != image grid {image.shape[1:]}")
+    if not unlabeled.any():
+        return PseudoMask(np.zeros(unlabeled.shape, dtype=np.int64))
 
     if kind != TOP_P:
         # raw_st is the strict filter over the identity view alone
@@ -120,7 +131,7 @@ def generate(
 
     # top-p: assign the unseen argmax, rank by its probability under the
     # full seen+unseen softmax, drop the least confident p%
-    feat = forward_backbone(np.asarray(image), generator)
+    feat = forward_backbone(image, generator)
     probs = project_probs(feat, table, space.all_ids)
     assigned = argmax_labels(feat, table, space.unseen_ids)
     rows, cols = np.indices(assigned.shape)

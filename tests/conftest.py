@@ -1,5 +1,9 @@
 """Shared fixtures: a small label space and matching embedding table.
 
+The test process runs its GEMMs on one OpenBLAS thread, as ``cli.main``
+and the pool workers do, so in-process runs (the acceptance benchmark's
+selftrains) do not spin a second thread on these small matrices.
+
 Also a hang guard: a test whose setup, call and teardown together take
 longer than ``HANG_SECONDS`` (module fixtures included) dumps the stack of
 every thread and ends the run, rather than stalling it.
@@ -12,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from gzlss.cli import _one_blas_thread
 from gzlss.label_space import build_label_space, make_embedding_table
 
 HANG_SECONDS = 900  # the slowest test, with the acceptance runs, takes ~220 s
@@ -19,6 +24,7 @@ _stderr = []  # a copy of the terminal's stderr, which test output capture leave
 
 
 def pytest_configure(config):
+    _one_blas_thread()
     _stderr.append(os.dup(sys.stderr.fileno()))
 
 

@@ -72,6 +72,34 @@ def test_invert_size_contract():
         aug.invert_mask(spec, np.zeros((4, 4), dtype=int), (4, 4))  # wrong input size
 
 
+def _ref_nearest(mask, out_h, out_w):
+    """Reference: each output pixel reads source floor((i + 1/2) * n_src / n_dst),
+    in exact rationals, clamped to the source."""
+    h, w = mask.shape
+    out = np.empty((out_h, out_w), dtype=mask.dtype)
+    for i in range(out_h):
+        for j in range(out_w):
+            r = min(int((i + Fraction(1, 2)) * h / out_h), h - 1)
+            c = min(int((j + Fraction(1, 2)) * w / out_w), w - 1)
+            out[i, j] = mask[r, c]
+    return out
+
+
+def test_invert_mask_matches_reference():
+    """Up- and down-scales of odd sizes, byte for byte, twice through each
+    cached index table; the tables are read-only."""
+    rng = np.random.default_rng(4)
+    for factor in ("3/2", "1/2", "3/4", "5/4", "2", "31/16"):
+        spec = aug.parse_spec(f"scale={factor}")
+        for n, m in ((7, 5), (9, 13), (7, 5)):
+            small = aug.scaled_size((n, m), spec)
+            mask = rng.integers(0, 9, size=small)
+            got = aug.invert_mask(spec, mask, (n, m))
+            want = _ref_nearest(mask, n, m)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not aug._nearest_index(n, small[0]).flags.writeable
+
+
 def test_identity_apply_copies():
     img = np.arange(12.0).reshape(1, 3, 4)
     out = aug.apply(aug.identity_spec(), img)

@@ -134,14 +134,24 @@ def test_window_stack_bitwise(shape, dtype, k):
 @pytest.mark.parametrize("factor", ["3/2", "3/4", "1/2", "2", "17/16", "31/16"])
 @pytest.mark.parametrize("shape", [(16, 32, 32), (3, 7, 5), (4, 20, 36)])
 def test_bilinear_bitwise(factor, shape):
+    """Several images through one cached tap table, float32 and float64:
+    the table carries nothing from one image to the next."""
     rng = np.random.default_rng(len(factor) + shape[1])
-    image = rng.standard_normal(shape).astype(np.float32)
     spec = augmentation.parse_spec(f"scale={factor}")
-    got = augmentation.apply(spec, image)
     out_h, out_w = augmentation.scaled_size(shape[1:], spec)
-    want = _ref_bilinear_resize(image.astype(np.float64), out_h, out_w)
-    assert np.array_equal(got, want)
-    assert _same_bytes(got, want)
+    for dtype in (np.float32, np.float32, np.float64):
+        image = rng.standard_normal(shape).astype(dtype)
+        before = image.copy()
+        got = augmentation.apply(spec, image)
+        want = _ref_bilinear_resize(image.astype(np.float64), out_h, out_w)
+        assert np.array_equal(got, want)
+        assert _same_bytes(got, want)
+        assert _same_bytes(image, before)  # the input is left alone
+    for n_src, n_dst in zip(shape[1:], (out_h, out_w)):
+        for taps in augmentation._bilinear_taps(n_src, n_dst):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError):
+                taps[0] = 0
 
 
 # ---------------------------------------------------------------------------

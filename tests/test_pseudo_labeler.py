@@ -182,14 +182,45 @@ def _reference_generate(strategy, params, image, y, specs, table, space):
 
 def test_generate_bitwise_equals_mask_then_intersect():
     """Masking once, on the intersection, gives the bytes of masking every
-    view first, for all three strategies on random parameters and sizes."""
+    view first, for all three strategies on random parameters and sizes,
+    fully labelled masks included."""
     rng = np.random.default_rng(39)
     specs = aug.parse_spec_list("identity,mirror,scale=3/2,scale=1/2,scale=5/4")
     for strategy in ("strict", "raw_st", "topp:30"):
-        for _ in range(4):
+        for case in range(6):
             n, m = (int(v) for v in rng.integers(3, 11, size=2))
             space, table, params, image, y = _setup(rng, n, m)
+            if case >= 4:
+                y = np.where(y == 0, case - 3, y)  # no unlabelled pixel
             got = pl.generate(strategy, params, image, y, specs, table, space).labels
             want = _reference_generate(strategy, params, image, y, specs, table, space)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), strategy
+
+
+def test_fully_labelled_image_runs_no_view(monkeypatch):
+    """A mask with no unlabelled pixel gets the empty mask without a view
+    being resampled or forwarded, and every refusal still stands."""
+    rng = np.random.default_rng(40)
+    space, table, params, image, y = _setup(rng)
+    y = np.where(y == 0, 2, y)
+
+    def no_view(*args, **kwargs):
+        raise AssertionError("a view ran on a fully labelled image")
+
+    monkeypatch.setattr(pl, "forward_backbone", no_view)
+    monkeypatch.setattr(aug, "apply", no_view)
+    for strategy in ("strict", "raw_st", "topp:30"):
+        got = pl.generate(strategy, params, image, y, SPECS, table, space).labels
+        assert got.dtype == np.int64 and got.shape == y.shape and not got.any()
+        refused = [
+            (strategy, image[:2], y, SPECS),  # wrong channel count
+            (strategy, image[0], y, SPECS),  # wrong rank
+            (strategy, image, y[:, :-1], SPECS),  # mask not on the image's grid
+            (strategy, image, y[:1], SPECS),  # ... even where it would broadcast
+            (strategy, image, y, SPECS[1:]),  # identity not first
+            ("strict!", image, y, SPECS),  # unknown strategy
+        ]
+        for name, im, mask, specs in refused:
+            with pytest.raises(ValueError):
+                pl.generate(name, params, im, mask, specs, table, space)
