@@ -193,9 +193,10 @@ def _has_hidden(path: str) -> bool:
 def _cmd_gen_data(args, cfg: dict, pool) -> int:
     if cfg["background"] == "auto":
         cfg = dict(cfg, background=BACKGROUND_IGNORED)
-    ds = synthetic_data.generate(_build(synthetic_data.GeneratorConfig, cfg))
-    synthetic_data.save_dataset(ds, args.out)
-    print(f"wrote {len(ds.train)} train / {len(ds.eval)} eval images to {args.out}")
+    ds, samples = synthetic_data.render(_build(synthetic_data.GeneratorConfig, cfg))
+    synthetic_data.save_dataset(ds, args.out, samples)  # writes each as the next renders
+    print(f"wrote {ds.config.train_images} train / {ds.config.eval_images} eval images "
+          f"to {args.out}")
     return 0
 
 

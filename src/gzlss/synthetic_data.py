@@ -11,8 +11,12 @@ that oracle is stored beside generated datasets.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
+import queue
 import struct
+import threading
 import typing
 from dataclasses import dataclass, fields
 from typing import Iterator
@@ -41,6 +45,7 @@ _EMBED_NAME = "embeddings.txt"
 _HIDDEN_NAME = "hidden_map.txt"
 _ORACLE_NAME = "oracle.ckpt"
 SPLITS = ("train", "eval")
+_WRITE_AHEAD = 8  # samples rendered but not yet written
 
 
 @dataclass(frozen=True)
@@ -176,20 +181,20 @@ def _redact(gt: np.ndarray, space: LabelSpace) -> np.ndarray:
     return mask
 
 
-def _split_balanced(rng, cfg, space, prototypes, proto_bg, count, required):
-    """Generate a split, retrying until each required class appears often enough."""
+def _render_split(rng, cfg, space, prototypes, proto_bg, split, count, required):
+    """Yield (split, index, sample) for every render of a split; a split
+    missing a required class is rendered again, indices from 0."""
     need = min(cfg.min_class_images, count)
     for _ in range(20):
-        samples = []
         present = {c: 0 for c in required}
-        for _ in range(count):
+        for i in range(count):
             img, gt = _render_image(rng, cfg, space, prototypes, proto_bg)
-            samples.append(SyntheticSample(img, _redact(gt, space), gt))
             for c in np.unique(gt):
                 if int(c) in present:
                     present[int(c)] += 1
+            yield split, i, SyntheticSample(img, _redact(gt, space), gt)
         if all(v >= need for v in present.values()):
-            return samples
+            return
     raise ValueError(
         f"could not populate every class {need}x in {count} images; "
         "raise the image count or cooccurrence rate"
@@ -205,8 +210,14 @@ def _label_space(cfg: GeneratorConfig) -> LabelSpace:
     )
 
 
-def generate(config: GeneratorConfig) -> Dataset:
-    """Build a dataset from scratch; fully determined by ``config``."""
+def render(config: GeneratorConfig) -> tuple[Dataset, Iterator[tuple[str, int, SyntheticSample]]]:
+    """A dataset's header (splits None) and a lazy stream of its samples.
+
+    The stream yields (split, index, sample) for every render, train then
+    eval; a retried split restarts at index 0, so a consumer that stores
+    or writes by index ends with the kept render.  It raises ValueError
+    once a split has failed every retry.  Fully determined by ``config``.
+    """
     cfg = config
     space = _label_space(cfg)
     rng = np.random.default_rng([cfg.seed, 0x5D])
@@ -234,11 +245,20 @@ def generate(config: GeneratorConfig) -> Dataset:
     required = list(_object_seen_ids(cfg, space))
     if cfg.cooccurrence > 0:
         required += list(space.unseen_ids)
-    train = _split_balanced(rng, cfg, space, prototypes, proto_bg,
-                            cfg.train_images, required)
-    evals = _split_balanced(rng, cfg, space, prototypes, proto_bg,
-                            cfg.eval_images, required)
-    return Dataset(cfg, space, table, train, evals, hidden)
+    samples = itertools.chain.from_iterable(
+        _render_split(rng, cfg, space, prototypes, proto_bg, split, count, required)
+        for split, count in (("train", cfg.train_images), ("eval", cfg.eval_images)))
+    return Dataset(cfg, space, table, None, None, hidden), samples
+
+
+def generate(config: GeneratorConfig) -> Dataset:
+    """Build a dataset in memory; fully determined by ``config``."""
+    ds, samples = render(config)
+    splits = {"train": [None] * config.train_images, "eval": [None] * config.eval_images}
+    for split, i, sample in samples:
+        splits[split][i] = sample
+    ds.train, ds.eval = splits["train"], splits["eval"]
+    return ds
 
 
 def oracle_backbone(hidden: HiddenMap) -> BackboneParams:
@@ -397,22 +417,76 @@ def _read_meta(path: str) -> GeneratorConfig:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Write a dataset directory: meta, embeddings, splits, hidden sidecars."""
+@contextlib.contextmanager
+def _writer(path: str):
+    """Yield ``put(split, index, sample)``, which queues a sample for one
+    background thread that writes its files under ``path``.
+
+    The queue holds a few samples, so rendering runs at most that far ahead
+    of the disk.  The thread is always joined on exit; its first error is
+    raised here, by the next ``put`` or on exit, and later samples are
+    dropped.
+    """
+    todo: queue.Queue = queue.Queue(maxsize=_WRITE_AHEAD)
+    failed: list[BaseException] = []
+
+    def drain():
+        while (item := todo.get()) is not None:
+            if failed:
+                continue
+            split, i, s = item
+            stem = os.path.join(path, split, f"img_{i:04d}")
+            try:
+                write_feat(s.image, stem + ".feat")
+                write_pgm(s.train_mask, stem + ".mask.pgm")
+                if s.hidden_gt is not None:
+                    write_pgm(s.hidden_gt, stem + ".gt.pgm")
+            except BaseException as exc:  # noqa: BLE001 -- raised in the caller
+                failed.append(exc)
+
+    def put(split: str, i: int, sample: SyntheticSample) -> None:
+        if failed:
+            raise failed[0]
+        todo.put((split, i, sample))
+
+    thread = threading.Thread(target=drain, name="gzlss-writer")
+    thread.start()
+    try:
+        yield put
+    finally:
+        todo.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def save_dataset(ds: Dataset, path: str, samples=None) -> None:
+    """Write a dataset directory: meta, embeddings, splits, hidden sidecars.
+
+    ``samples`` are (split, index, sample) triples, as ``render`` yields
+    them; without it the splits of ``ds`` are written.  Each sample is
+    written while the next is drawn.  ``meta.txt`` is removed first and
+    written last, so a directory whose write failed does not load.
+    """
+    if samples is None:
+        samples = ((split, i, s) for split, ss in (("train", ds.train), ("eval", ds.eval))
+                   for i, s in enumerate(ss))
+    meta = os.path.join(path, _META_NAME)
     os.makedirs(path, exist_ok=True)
-    _write_meta(ds.config, os.path.join(path, _META_NAME))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta)
     save_embeddings(ds.table, os.path.join(path, _EMBED_NAME))
     if ds.hidden is not None:
         _write_hidden(ds.hidden, os.path.join(path, _HIDDEN_NAME))
         save_checkpoint(os.path.join(path, _ORACLE_NAME), oracle_backbone(ds.hidden))
-    for split, samples in (("train", ds.train), ("eval", ds.eval)):
-        sub = os.path.join(path, split)
-        os.makedirs(sub, exist_ok=True)
-        for i, s in enumerate(samples):
-            write_feat(s.image, os.path.join(sub, f"img_{i:04d}.feat"))
-            write_pgm(s.train_mask, os.path.join(sub, f"img_{i:04d}.mask.pgm"))
-            if s.hidden_gt is not None:
-                write_pgm(s.hidden_gt, os.path.join(sub, f"img_{i:04d}.gt.pgm"))
+    for split in SPLITS:
+        os.makedirs(os.path.join(path, split), exist_ok=True)
+    # the writer thread is the only caller of the file writers while it
+    # runs: a profiler that keeps one call stack sees its calls in order
+    with _writer(path) as put:
+        for split, i, s in samples:
+            put(split, i, s)
+    _write_meta(ds.config, meta)
 
 
 def _read_checked(read, path: str, shape: tuple, check=None) -> np.ndarray:

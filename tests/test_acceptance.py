@@ -232,8 +232,11 @@ def test_criterion_8_self_training_gain(bench_runs):
     )
     order = sum(strict[-1].hm >= raw[-1].hm for strict, raw in bench_runs)
     secs = sum(r.seconds for strict, raw in bench_runs for r in (*strict, *raw))
+    # per seed, so a change that moves the ordering shows which seed moved
+    gaps = " ".join(f"{strict[-1].hm - raw[-1].hm:+.3f}" for strict, raw in bench_runs)
     _verdict(8, "self-training gain", gain >= 9 and order >= 8 and secs < 1200.0,
-             f"U-gain {gain}/{BENCH_SEEDS}, HM order {order}/{BENCH_SEEDS}, {secs:.0f}s")
+             f"U-gain {gain}/{BENCH_SEEDS}, HM order {order}/{BENCH_SEEDS}, "
+             f"HM strict-raw by seed {gaps}, {secs:.0f}s")
 
 
 def test_criterion_9_calibration_sanity():

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import shutil
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from gzlss import cli, parallel
 from gzlss import self_training as st
 from gzlss import synthetic_data as sd
+from gzlss.errors import FormatError
 from gzlss.metrics import evaluate_pairs, summary_line, write_report_csv
 from gzlss.model import TrainConfig, load_checkpoint
 from gzlss.self_training import read_history_csv
@@ -66,6 +68,104 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["gen-data", "--out", str(tmp_path / "d"),
                      "--config", str(tmp_path / "no.cfg")]) == 2
     capsys.readouterr()
+
+
+RETRYING = ["--height", "16", "--width", "16", "--channels", "6", "--embed_dim", "4",
+            "--num_seen", "3", "--num_unseen", "2", "--train_images", "6",
+            "--eval_images", "6", "--min_class_images", "2", "--shapes_min", "2",
+            "--shapes_max", "3", "--cooccurrence", "0.7"]
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("keys", [TINY, ["--config", str(CONFIGS / "smoke.cfg")],
+                                  RETRYING + ["--data_seed", "3"],
+                                  RETRYING + ["--data_seed", "0"]],
+                         ids=["tiny", "smoke", "retry-seed3", "retry-seed0"])
+def test_gen_data_writes_the_bytes_of_generate_and_save_dataset(tmp_path, capsys, keys):
+    """gen-data writes each sample while the next renders; its files equal
+    those of the in-memory path, and each sample's files are what the
+    plain file writers give (retried splits included)."""
+    streamed = tmp_path / "streamed"
+    assert cli.main(["gen-data", "--out", str(streamed)] + keys) == 0
+    capsys.readouterr()
+    ds = sd.generate(sd.load_dataset(str(streamed), splits=()).config)
+    sd.save_dataset(ds, str(tmp_path / "held"))
+    files = _files(streamed)
+    assert files == _files(tmp_path / "held")
+    for split in sd.SPLITS:
+        for i, s in enumerate(getattr(ds, split)):
+            stem = f"{split}/img_{i:04d}"
+            sd.write_feat(s.image, str(tmp_path / "f"))
+            sd.write_pgm(s.train_mask, str(tmp_path / "m"))
+            sd.write_pgm(s.hidden_gt, str(tmp_path / "g"))
+            assert files[stem + ".feat"] == (tmp_path / "f").read_bytes()
+            assert files[stem + ".mask.pgm"] == (tmp_path / "m").read_bytes()
+            assert files[stem + ".gt.pgm"] == (tmp_path / "g").read_bytes()
+    assert len(files) == 4 + 3 * (len(ds.train) + len(ds.eval))  # 4: the header files
+
+
+# every seen and unseen class twice in 6 train images fails all 20 tries
+UNPOPULATED = ["--height", "16", "--width", "16", "--channels", "6", "--embed_dim", "4",
+               "--num_seen", "4", "--num_unseen", "2", "--train_images", "6",
+               "--eval_images", "4", "--min_class_images", "2", "--shapes_min", "1",
+               "--shapes_max", "2", "--cooccurrence", "0.5", "--data_seed", "0"]
+
+
+def test_failed_gen_data_leaves_no_loadable_dataset(tmp_path, capsys):
+    """A split that cannot be populated exits 1; written over a good
+    dataset, it leaves a directory that does not load, and no thread."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    sd.load_dataset(str(data))
+    capsys.readouterr()
+    threads = threading.enumerate()
+    assert cli.main(["gen-data", "--out", str(data)] + UNPOPULATED) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: could not populate every class 2x in 6 images; "
+        "raise the image count or cooccurrence rate\n")
+    with pytest.raises(FormatError, match="dataset metadata not found"):
+        sd.load_dataset(str(data))
+    assert threading.enumerate() == threads
+
+
+def test_gen_data_write_error_exits_2_and_joins_the_writer(tmp_path, capsys):
+    """A file the writer thread cannot create is named in the main thread
+    (exit 2); meta.txt stays deleted, and the writer is joined."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    capsys.readouterr()
+    bad = data / "train" / "img_0003.feat"
+    bad.unlink()
+    bad.mkdir()
+    threads = threading.enumerate()
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (data / "meta.txt").exists()
+    assert threading.enumerate() == threads
+
+
+def test_gen_data_memory_does_not_grow_with_the_split(tmp_path, capsys):
+    """gen-data holds a few samples, not the split: the peak of traced
+    allocations differs between N and 10N images by a queue's worth."""
+    peaks = {}
+    for n in (10, 100):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(["gen-data", "--out", str(tmp_path / f"d{n}")] + TINY
+                            + ["--train_images", str(n), "--eval_images", str(n)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    s = next(sd.iter_split(str(tmp_path / "d10"), "train", include_hidden=True))
+    sample_bytes = s.image.nbytes + s.train_mask.nbytes + s.hidden_gt.nbytes
+    assert peaks[100] - peaks[10] < (sd._WRITE_AHEAD + 4) * sample_bytes, peaks
 
 
 def _corrupt(path, value):

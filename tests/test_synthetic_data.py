@@ -86,6 +86,37 @@ def test_seen_background_mode():
         )
 
 
+# seed 3 renders this eval split twice, seed 0 fourteen times
+RETRYING = dict(height=16, width=16, channels=6, embed_dim=4, num_seen=3, num_unseen=2,
+                train_images=6, eval_images=6, min_class_images=2, shapes_min=2,
+                shapes_max=3, cooccurrence=0.7)
+
+
+@pytest.mark.parametrize("seed, renders", [(3, 18), (0, 90)])
+def test_render_restarts_a_retried_split_at_index_0(seed, renders):
+    """The stream yields every render, train then eval, each attempt at a
+    split from index 0; generate keeps the last render of every index."""
+    cfg = sd.GeneratorConfig(seed=seed, **RETRYING)
+    header, samples = sd.render(cfg)
+    assert header.train is None and header.eval is None
+    stream = list(samples)
+    assert len(stream) == renders
+    splits = [split for split, _, _ in stream]
+    assert splits == sorted(splits, key=sd.SPLITS.index)
+    for split, count in (("train", cfg.train_images), ("eval", cfg.eval_images)):
+        indices = [i for sp, i, _ in stream if sp == split]
+        assert indices == list(range(count)) * (len(indices) // count)
+
+    kept = {(split, i): s for split, i, s in stream}
+    ds = sd.generate(cfg)
+    assert (ds.config, ds.space) == (header.config, header.space)
+    np.testing.assert_array_equal(ds.hidden.matrix, header.hidden.matrix)
+    for split in sd.SPLITS:
+        for i, s in enumerate(getattr(ds, split)):
+            for a in ("image", "train_mask", "hidden_gt"):
+                assert getattr(s, a).tobytes() == getattr(kept[split, i], a).tobytes()
+
+
 def test_oracle_is_perfect_at_zero_noise():
     cfg = sd.GeneratorConfig(seed=5, noise=0.0, **SMALL)
     ds = sd.generate(cfg)
