@@ -417,60 +417,35 @@ def _read_meta(path: str) -> GeneratorConfig:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
 
 
-@contextlib.contextmanager
-def _writer(path: str):
-    """Yield ``put(split, index, sample)``, which queues a sample for one
-    background thread that writes its files under ``path``.
-
-    The queue holds a few samples, so rendering runs at most that far ahead
-    of the disk.  The thread is always joined on exit; its first error is
-    raised here, by the next ``put`` or on exit, and later samples are
-    dropped.
-    """
-    todo: queue.Queue = queue.Queue(maxsize=_WRITE_AHEAD)
-    failed: list[BaseException] = []
-
-    def drain():
-        while (item := todo.get()) is not None:
-            if failed:
-                continue
-            split, i, s = item
-            stem = os.path.join(path, split, f"img_{i:04d}")
-            try:
-                write_feat(s.image, stem + ".feat")
-                write_pgm(s.train_mask, stem + ".mask.pgm")
-                if s.hidden_gt is not None:
-                    write_pgm(s.hidden_gt, stem + ".gt.pgm")
-            except BaseException as exc:  # noqa: BLE001 -- raised in the caller
-                failed.append(exc)
-
-    def put(split: str, i: int, sample: SyntheticSample) -> None:
+def _write_samples(path: str, todo: queue.Queue, failed: list) -> None:
+    """The writer thread: write the files of each (split, index, sample)
+    taken from ``todo`` until None; after an error, keep draining."""
+    while (item := todo.get()) is not None:
         if failed:
-            raise failed[0]
-        todo.put((split, i, sample))
-
-    thread = threading.Thread(target=drain, name="gzlss-writer")
-    thread.start()
-    try:
-        yield put
-    finally:
-        todo.put(None)
-        thread.join()
-    if failed:
-        raise failed[0]
+            continue
+        split, i, s = item
+        stem = os.path.join(path, split, f"img_{i:04d}")
+        try:
+            write_feat(s.image, stem + ".feat")
+            write_pgm(s.train_mask, stem + ".mask.pgm")
+            if s.hidden_gt is not None:
+                write_pgm(s.hidden_gt, stem + ".gt.pgm")
+        except Exception as exc:  # every error goes to the caller, who raises it
+            failed.append(exc)
 
 
 def save_dataset(ds: Dataset, path: str, samples=None) -> None:
     """Write a dataset directory: meta, embeddings, splits, hidden sidecars.
 
     ``samples`` are (split, index, sample) triples, as ``render`` yields
-    them; without it the splits of ``ds`` are written.  Each sample is
-    written while the next is drawn.  ``meta.txt`` is removed first and
-    written last, so a directory whose write failed does not load.
+    them; without it the splits of ``ds`` are written.  One thread writes
+    each sample while the next is drawn, at most ``_WRITE_AHEAD`` behind,
+    and is always joined; its first error is raised here.  ``meta.txt`` is
+    removed first and written last, so a directory whose write failed does
+    not load.
     """
     if samples is None:
-        samples = ((split, i, s) for split, ss in (("train", ds.train), ("eval", ds.eval))
-                   for i, s in enumerate(ss))
+        samples = ((split, i, s) for split in SPLITS for i, s in enumerate(getattr(ds, split)))
     meta = os.path.join(path, _META_NAME)
     os.makedirs(path, exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
@@ -481,11 +456,24 @@ def save_dataset(ds: Dataset, path: str, samples=None) -> None:
         save_checkpoint(os.path.join(path, _ORACLE_NAME), oracle_backbone(ds.hidden))
     for split in SPLITS:
         os.makedirs(os.path.join(path, split), exist_ok=True)
-    # the writer thread is the only caller of the file writers while it
-    # runs: a profiler that keeps one call stack sees its calls in order
-    with _writer(path) as put:
-        for split, i, s in samples:
-            put(split, i, s)
+    # The header is written before the writer starts and meta.txt after it
+    # is joined, so while it runs no other thread calls a public function:
+    # a profiler that keeps one call stack still sees properly nested calls.
+    todo: queue.Queue = queue.Queue(maxsize=_WRITE_AHEAD)
+    failed: list[Exception] = []
+    writer = threading.Thread(target=_write_samples, args=(path, todo, failed),
+                              name="gzlss-writer")
+    writer.start()
+    try:
+        for item in samples:
+            if failed:
+                break
+            todo.put(item)
+    finally:
+        todo.put(None)
+        writer.join()
+    if failed:
+        raise failed[0]
     _write_meta(ds.config, meta)
 
 
