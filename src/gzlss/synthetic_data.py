@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import queue
 import struct
 import threading
 import typing
@@ -417,7 +416,7 @@ def _read_meta(path: str) -> GeneratorConfig:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
 
 
-def _write_samples(path: str, todo: queue.Queue, failed: list) -> None:
+def _write_samples(path: str, todo, failed: list) -> None:
     """The writer thread: write the files of each (split, index, sample)
     taken from ``todo`` until None; after an error, keep draining."""
     while (item := todo.get()) is not None:
@@ -459,7 +458,9 @@ def save_dataset(ds: Dataset, path: str, samples=None) -> None:
     # The header is written before the writer starts and meta.txt after it
     # is joined, so while it runs no other thread calls a public function:
     # a profiler that keeps one call stack still sees properly nested calls.
-    todo: queue.Queue = queue.Queue(maxsize=_WRITE_AHEAD)
+    import queue  # only here: imported with the module, it adds RSS to every command
+
+    todo = queue.Queue(maxsize=_WRITE_AHEAD)
     failed: list[Exception] = []
     writer = threading.Thread(target=_write_samples, args=(path, todo, failed),
                               name="gzlss-writer")
