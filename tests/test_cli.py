@@ -152,6 +152,7 @@ def test_gen_data_write_error_exits_2_and_joins_the_writer(tmp_path, capsys):
 def test_gen_data_memory_does_not_grow_with_the_split(tmp_path, capsys):
     """gen-data holds a few samples, not the split: the peak of traced
     allocations differs between N and 10N images by a queue's worth."""
+    assert cli.main(["gen-data", "--out", str(tmp_path / "warm")] + TINY) == 0  # first-call imports
     peaks = {}
     for n in (10, 100):
         gc.collect()
