@@ -151,7 +151,8 @@ def test_gen_data_write_error_exits_2_and_joins_the_writer(tmp_path, capsys):
 
 def test_gen_data_memory_does_not_grow_with_the_split(tmp_path, capsys):
     """gen-data holds a few samples, not the split: the peak of traced
-    allocations differs between N and 10N images by a queue's worth."""
+    allocations differs between N and 10N images by at most the three
+    batches in flight (drawn, waiting, being written)."""
     assert cli.main(["gen-data", "--out", str(tmp_path / "warm")] + TINY) == 0  # first-call imports
     peaks = {}
     for n in (10, 100):
@@ -166,7 +167,7 @@ def test_gen_data_memory_does_not_grow_with_the_split(tmp_path, capsys):
     capsys.readouterr()
     s = next(sd.iter_split(str(tmp_path / "d10"), "train", include_hidden=True))
     sample_bytes = s.image.nbytes + s.train_mask.nbytes + s.hidden_gt.nbytes
-    assert peaks[100] - peaks[10] < (sd._WRITE_AHEAD + 4) * sample_bytes, peaks
+    assert peaks[100] - peaks[10] < (3 * sd._WRITE_BATCH + 4) * sample_bytes, peaks
 
 
 def _corrupt(path, value):
