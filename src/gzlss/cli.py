@@ -266,9 +266,11 @@ def _cmd_selftrain(args, cfg: dict, pool) -> int:
                 f"{path}: --resume {args.resume} needs the rows of cycles 0 to "
                 f"{args.resume - 1}, found {', '.join(str(r.cycle) for r in history) or 'none'}")
     else:
-        with open(run_cfg, "w", encoding="utf-8") as fh:
+        tmp = f"{run_cfg}.tmp"  # replaced atomically, like the checkpoints
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(_dataset_line(args.data))
             fh.writelines(f"{key}={_format(cfg[key])}\n" for key in SCHEMA)
+        os.replace(tmp, run_cfg)
     params, records = strict_train(
         ds, tc, specs, cfg["strategy"], cfg["gamma"],
         checkpoint_dir=args.out, start_cycle=args.resume, start_params=start_params,

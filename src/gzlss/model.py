@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,51 +105,61 @@ def init_backbone(
     return BackboneParams(weights, biases, window)
 
 
-def _window_stack(image: np.ndarray, k: int) -> np.ndarray:
+def _window_stack(image: np.ndarray, k: int, work: "Workspace | None" = None) -> np.ndarray:
     # (C, N, M) -> float64 (C*k*k, N, M) with edge-replicate padding; the
-    # float64 conversion happens in the final copy, which is exact from float32
-    if k == 1:
+    # float64 conversion happens in the final copy, which is exact from
+    # float32.  With ``work``, its buffers are filled and no array is made.
+    if k == 1 and work is None:
         return np.asarray(image, dtype=np.float64)
     pad = k // 2
     c, n, m = image.shape
-    padded = np.empty((c, n + 2 * pad, m + 2 * pad), dtype=image.dtype)
+    if work is None:
+        out = np.empty((c * k * k, n, m))
+        padded = np.empty((c, n + 2 * pad, m + 2 * pad), dtype=image.dtype)
+    else:
+        out, padded = work.x.reshape(c * k * k, n, m), work.padded
+    if k == 1:
+        out[...] = image
+        return out
     padded[:, pad : pad + n, pad : pad + m] = image
     padded[:, pad : pad + n, :pad] = image[:, :, :1]
     padded[:, pad : pad + n, pad + m :] = image[:, :, -1:]
     padded[:, :pad] = padded[:, pad : pad + 1]
     padded[:, pad + n :] = padded[:, pad + n - 1 : pad + n]
-    out = np.empty((c * k * k, n, m), dtype=np.float64)
     for i in range(k * k):
         dy, dx = divmod(i, k)
         out[i * c : (i + 1) * c] = padded[:, dy : dy + n, dx : dx + m]
     return out
 
 
-def _forward_layers(x: np.ndarray, params: BackboneParams) -> list[np.ndarray]:
-    """Per-pixel MLP over flattened pixels; returns all activations, input first."""
+def _forward_layers(x: np.ndarray, params: BackboneParams,
+                    out: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per-pixel MLP over flattened pixels; returns all activations, input
+    first.  The last layer's output is written into ``out`` when given."""
     activations = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = w @ activations[-1] + b[:, None]
+        z = np.matmul(w, activations[-1], out=out if i == last else None)
+        z += b[:, None]
         activations.append(z if i == last else np.tanh(z))
     return activations
 
 
-def _pixel_input(image: np.ndarray, params: BackboneParams) -> tuple[np.ndarray, int, int]:
+def _check_image(image: np.ndarray, params: BackboneParams) -> np.ndarray:
     image = np.asarray(image)
     if image.ndim != 3:
         raise ValueError(f"expected (C, N, M) image, got shape {image.shape}")
-    c, n, m = image.shape
-    if c != params.in_channels:
-        raise ValueError(f"image has {c} channels, backbone expects {params.in_channels}")
-    x = _window_stack(image, params.window).reshape(-1, n * m)
-    return x, n, m
+    if image.shape[0] != params.in_channels:
+        raise ValueError(f"image has {image.shape[0]} channels, "
+                         f"backbone expects {params.in_channels}")
+    return image
 
 
 def forward_backbone(image: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Map a (C, N, M) image to the (D, N, M) per-pixel feature grid."""
-    x, n, m = _pixel_input(image, params)
-    feat = _forward_layers(x, params)[-1]
+    image = _check_image(image, params)
+    _, n, m = image.shape
+    feat = _forward_layers(_window_stack(image, params.window).reshape(-1, n * m), params)[-1]
     return feat.reshape(params.out_dim, n, m)
 
 
@@ -236,35 +247,125 @@ class BackwardResult:
         return self.seen_pixels + self.unseen_pixels
 
 
+class LabelTerm(NamedTuple):
+    """The labelled pixels of one CE term of one image.  ``cols`` are
+    their columns in the flattened (N*M) grid and ``labelled`` flags them;
+    both are None when every column is labelled.  ``pick`` is the flat
+    index of each one's target logit in the term's (channels, labelled
+    pixels) logit grid."""
+
+    cols: np.ndarray | None
+    labelled: np.ndarray | None
+    pick: np.ndarray
+
+    @classmethod
+    def of(cls, labels_flat: np.ndarray, first_id: int) -> "LabelTerm | None":
+        """The term of labels whose ids count from ``first_id`` (channel
+        0), or None when no pixel is labelled."""
+        labelled = labels_flat > 0
+        cols = np.flatnonzero(labelled)
+        if cols.size == 0:
+            return None
+        pick = (labels_flat[cols].astype(np.intp) - first_id) * cols.size + np.arange(cols.size)
+        if cols.size == labels_flat.size:
+            return cls(None, None, pick)
+        return cls(cols, labelled, pick)
+
+    @property
+    def pixels(self) -> int:
+        return self.pick.size
+
+
+class ImageLabels(NamedTuple):
+    """What ``backward`` needs of one image's masks, made once per image
+    per training loop by ``prepare_labels``: the seen term of ``y`` and
+    the unseen term of ``ybar``, each None when it labels no pixel."""
+
+    seen: LabelTerm | None
+    unseen: LabelTerm | None
+
+    @property
+    def seen_pixels(self) -> int:
+        return 0 if self.seen is None else self.seen.pixels
+
+    @property
+    def unseen_pixels(self) -> int:
+        return 0 if self.unseen is None else self.unseen.pixels
+
+
+def prepare_labels(
+    image: np.ndarray,
+    params: BackboneParams,
+    space: LabelSpace,
+    y: np.ndarray,
+    ybar: np.ndarray | None,
+) -> ImageLabels:
+    """Check ``image`` against the backbone and prepare its masks for
+    ``backward``.  The masks are trusted, as ``backward`` says."""
+    _check_image(image, params)
+    unseen = None if ybar is None else LabelTerm.of(np.asarray(ybar).reshape(-1),
+                                                     space.unseen_ids[0])
+    return ImageLabels(LabelTerm.of(np.asarray(y).reshape(-1), space.seen_ids[0]), unseen)
+
+
+class Workspace:
+    """The buffers ``backward`` fills on every call, kept by a training
+    rank from one call to the next: the padded image, the float64 window
+    stack ``x``, the output features ``feat``, their gradient ``dfeat``
+    and ``flags``, which marks the columns a term writes into ``dfeat``.
+    ``fit`` reallocates them when the image or the backbone changes
+    shape."""
+
+    def __init__(self):
+        self._key = None
+
+    def fit(self, image: np.ndarray, params: BackboneParams) -> "Workspace":
+        key = (image.shape, image.dtype, params.window, params.out_dim)
+        if key != self._key:
+            c, n, m = image.shape
+            k = params.window
+            self.padded = np.empty((c, n + k - 1, m + k - 1), dtype=image.dtype)
+            self.x = np.empty((c * k * k, n * m))
+            self.feat = np.empty((params.out_dim, n * m))
+            self.dfeat = np.empty_like(self.feat)
+            self.flags = np.empty(self.feat.shape, dtype=bool)
+            self._key = key
+        return self
+
+
 def _ce_term(
     feat: np.ndarray,
     emb: np.ndarray,
-    labels_flat: np.ndarray,
-    first_id: int,
+    term: LabelTerm,
     dfeat: np.ndarray,
+    flags: np.ndarray,
     scale: float = 1.0,
 ) -> float:
-    """Loss of one sum-form CE term over labeled pixels.
+    """Loss of one sum-form CE term over its labelled pixels.
 
-    ``emb`` holds the embeddings of consecutive ids from ``first_id`` on,
-    so label id ``first_id + i`` is channel i.  ``scale`` times its
-    d(loss)/d(feat) is added into the labeled columns of ``dfeat``, which
-    the caller zeroes; columns the term does not label are left untouched.
+    ``emb`` holds the embeddings of the term's ids, channel 0 first.
+    ``scale`` times its d(loss)/d(feat) is written into the term's columns
+    of ``dfeat``; other columns are left untouched.  ``flags`` is a bool
+    grid of ``dfeat``'s shape that the term overwrites.
     """
-    labeled = labels_flat > 0
-    if not labeled.any():
-        return 0.0
-    cols = np.flatnonzero(labeled)
-    logits = emb @ feat[:, cols]  # (C, P_l)
+    # every column: the GEMM operands are those of a gather of all of them
+    labelled = feat if term.cols is None else feat.take(term.cols, axis=1)
+    logits = emb @ labelled  # (C, P_l)
     logits -= logits.max(axis=0, keepdims=True)
     lse = np.log(np.exp(logits).sum(axis=0))
-    target = labels_flat[cols] - first_id
-    loss = float((lse - logits[target, np.arange(cols.size)]).sum())
-    dlogits = np.exp(logits - lse)  # softmax
-    dlogits[target, np.arange(cols.size)] -= 1.0
+    loss = float((lse - logits.take(term.pick)).sum())
+    logits -= lse
+    dlogits = np.exp(logits, out=logits)  # softmax
+    dlogits.reshape(-1)[term.pick] -= 1.0
+    grad = np.matmul(emb.T, dlogits, out=dfeat if term.cols is None else None)
+    if scale != 1.0:  # a product with 1.0 is exact
+        grad *= scale
     # "+ 0.0" turns a -0.0 into +0.0, as summing one zero-filled grid per
-    # term did; it is much cheaper than adding into the fancy-indexed columns
-    dfeat[:, cols] = scale * (emb.T @ dlogits) + 0.0
+    # term did; it is much cheaper than adding into the labelled columns
+    grad += 0.0
+    if term.cols is not None:
+        flags[...] = term.labelled
+        dfeat[flags] = grad.reshape(-1)
     return loss
 
 
@@ -276,6 +377,9 @@ def backward(
     y: np.ndarray,
     ybar: np.ndarray | None,
     lam: float,
+    *,
+    labels: ImageLabels | None = None,
+    work: Workspace | None = None,
 ) -> BackwardResult:
     """Exact gradient of the combined loss w.r.t. backbone parameters.
 
@@ -283,26 +387,40 @@ def backward(
     unseen-class softmax weighted by ``lam``.  Embeddings receive no
     gradient.  Raises NumericError on non-finite gradients.
 
-    The masks are trusted, not checked, on every call: callers pass (N, M)
-    masks of the image's height and width, ``y`` holding only 0 and seen
-    ids, ``ybar`` only 0 and unseen ids, and no pixel labelled in both.
+    ``labels`` is ``prepare_labels`` of the same image and masks, and
+    ``work`` a ``Workspace``; each is made here when not given.  Training
+    prepares each image's labels once per training loop, the first time
+    its rank uses the image, and keeps one workspace per rank; so the
+    image is checked against the backbone once per image per loop, not on
+    every call.
+
+    The masks are trusted, not checked: callers pass (N, M) masks of the
+    image's height and width, ``y`` holding only 0 and seen ids, ``ybar``
+    only 0 and unseen ids, and no pixel labelled in both.
     ``synthetic_data.load_dataset`` checks every image and mask it reads,
     and ``pseudo_labeler.generate`` labels only unlabelled pixels, with
-    unseen ids.  The image itself is still checked against the backbone.
+    unseen ids.
     """
-    x, _, _ = _pixel_input(image, params)
-    activations = _forward_layers(x, params)
+    image = np.asarray(image)
+    if labels is None:
+        labels = prepare_labels(image, params, space, y, ybar)
+    work = (Workspace() if work is None else work).fit(image, params)
+    _window_stack(image, params.window, work)
+    activations = _forward_layers(work.x, params, work.feat)
     feat = activations[-1]
 
-    y_flat = np.asarray(y).reshape(-1)
-    ybar_flat = np.zeros_like(y_flat) if ybar is None else np.asarray(ybar).reshape(-1)
     # one gradient grid for both terms: no pixel carries both labels, so
-    # each term writes only its own columns
-    dfeat = np.zeros_like(feat)
-    seen_loss = _ce_term(feat, table.matrix(space.seen_ids), y_flat, space.seen_ids[0], dfeat)
-    pseudo_loss = _ce_term(
-        feat, table.matrix(space.unseen_ids), ybar_flat, space.unseen_ids[0], dfeat, lam
-    )
+    # each term writes only its own columns, and the rest must be zero
+    dfeat = work.dfeat
+    seen, unseen = labels.seen, labels.unseen
+    if not any(t is not None and t.cols is None for t in (seen, unseen)):
+        dfeat.fill(0.0)
+    seen_loss = pseudo_loss = 0.0
+    if seen is not None:
+        seen_loss = _ce_term(feat, table.matrix(space.seen_ids), seen, dfeat, work.flags)
+    if unseen is not None:
+        pseudo_loss = _ce_term(feat, table.matrix(space.unseen_ids), unseen, dfeat,
+                               work.flags, lam)
 
     grad_w = [np.empty(0)] * len(params.weights)
     grad_b = [np.empty(0)] * len(params.biases)
@@ -315,15 +433,10 @@ def backward(
             da = params.weights[i].T @ dz
             dz = da * (1.0 - a_prev * a_prev)  # tanh'
     for g in grad_w + grad_b:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient")
-    return BackwardResult(
-        grad_w,
-        grad_b,
-        seen_loss + lam * pseudo_loss,
-        int((y_flat > 0).sum()),
-        int((ybar_flat > 0).sum()),
-    )
+    return BackwardResult(grad_w, grad_b, seen_loss + lam * pseudo_loss,
+                          labels.seen_pixels, labels.unseen_pixels)
 
 
 @dataclass

@@ -27,10 +27,13 @@ from gzlss.label_space import EmbeddingTable, LabelSpace
 from gzlss.metrics import PseudoQuality, evaluate_pairs, pseudo_quality
 from gzlss.model import (
     BackboneParams,
+    ImageLabels,
     TrainConfig,
+    Workspace,
     backward,
     init_backbone,
     init_optimizer,
+    prepare_labels,
     save_checkpoint,
     sgd_step,
 )
@@ -105,15 +108,28 @@ def _train_rank(
     """One rank's part of ``_train_loop``: the per-image gradients of its
     slice of every batch, summed along the chain in batch order.  Every
     rank takes the same step on the same sum, so all hold the same
-    weights; rank 0 returns them."""
+    weights; rank 0 returns them.
+
+    The masks do not change within the loop, so each image's labels are
+    prepared the first time the rank uses it, and one workspace serves
+    every ``backward``."""
     params = params.copy()  # the caller's, or read-only as a worker received them
     state = init_optimizer(params, len(batches), cfg)
     share = _share(cfg.batch_size, link.rank, link.size)
     layers = len(params.weights)
+    prepared: dict[int, ImageLabels] = {}
+    work = Workspace()
 
     def grads(indices):
-        return [backward(images[i], params, table, space, masks[i],
-                         None if pseudo is None else pseudo[i], cfg.lam) for i in indices]
+        results = []
+        for i in indices:
+            ybar = None if pseudo is None else pseudo[i]
+            labels = prepared.get(i)
+            if labels is None:
+                labels = prepared[i] = prepare_labels(images[i], params, space, masks[i], ybar)
+            results.append(backward(images[i], params, table, space, masks[i], ybar, cfg.lam,
+                                    labels=labels, work=work))
+        return results
 
     for batch in batches:
         start = ([np.zeros_like(p) for p in params.weights + params.biases], 0)

@@ -380,12 +380,16 @@ def load_hidden_map(path: str) -> HiddenMap:
 
 def _write_meta(cfg: GeneratorConfig, path: str) -> None:
     """format_version, then one key=value line per field in declaration
-    order; tuples are comma lists, and str() of a float is its exact repr."""
-    with open(path, "w", encoding="ascii") as fh:
+    order; tuples are comma lists, and str() of a float is its exact repr.
+    Written to ``<path>.tmp`` and then renamed, so a cut write leaves no
+    ``meta.txt`` rather than a short one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
         fh.write("format_version=1\n")
         for f in fields(GeneratorConfig):
             value = getattr(cfg, f.name)
             fh.write(f"{f.name}={','.join(value) if isinstance(value, tuple) else value}\n")
+    os.replace(tmp, path)
 
 
 def _read_meta(path: str) -> GeneratorConfig:

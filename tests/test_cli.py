@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import os
 import shutil
 import threading
 import tracemalloc
@@ -147,6 +148,69 @@ def test_gen_data_write_error_exits_2_and_joins_the_writer(tmp_path, capsys):
     assert err.startswith("error: ") and str(bad) in err
     assert not (data / "meta.txt").exists()
     assert threading.enumerate() == threads
+
+
+def _failing_replace(monkeypatch, name):
+    """Make ``os.replace`` raise when it would replace a file named ``name``."""
+    real = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(f"cannot replace {dst}")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def test_cut_meta_write_leaves_no_loadable_dataset(tmp_path, capsys, monkeypatch):
+    """meta.txt is written to meta.txt.tmp and renamed: when the rename
+    fails, gen-data exits 2 and the directory does not load, also where a
+    good dataset was; the complete meta.txt.tmp left behind is not read."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data)] + TINY) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        _failing_replace(m, "meta.txt")
+        assert cli.main(["gen-data", "--out", str(data), "--data_seed", "12"] + TINY) == 2
+    assert "cannot replace" in capsys.readouterr().err
+    assert "seed=12\n" in (data / "meta.txt.tmp").read_text()
+    assert not (data / "meta.txt").exists()
+    with pytest.raises(FormatError, match="dataset metadata not found"):
+        sd.load_dataset(str(data))
+
+
+def test_leftover_meta_tmp_is_never_read(tmp_path, capsys):
+    """A meta.txt.tmp cut short, next to a good meta.txt, changes nothing:
+    the dataset loads with meta.txt's settings (a cut 'seed=12' read as
+    written would load as seed 1)."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data), "--data_seed", "12"] + TINY) == 0
+    capsys.readouterr()
+    assert not (data / "meta.txt.tmp").exists()
+    meta = (data / "meta.txt").read_bytes()
+    (data / "meta.txt.tmp").write_bytes(meta[:-2])  # "seed=12\n" cut to "seed=1"
+    assert sd.load_dataset(str(data)).config.seed == 12
+    assert cli.main(["gen-data", "--out", str(data), "--data_seed", "12"] + TINY) == 0
+    assert (data / "meta.txt").read_bytes() == meta
+    assert not (data / "meta.txt.tmp").exists()
+
+
+def test_cut_run_cfg_write_leaves_no_run_cfg(tmp_path, capsys, monkeypatch):
+    """run.cfg is written to run.cfg.tmp and renamed: when the rename
+    fails, selftrain exits 2 before training, and there is no run.cfg for
+    a resume to trust."""
+    data = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", data] + TINY) == 0
+    run = tmp_path / "run"
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        _failing_replace(m, "run.cfg")
+        assert cli.main(["selftrain", "--data", data, "--out", str(run)] + FAST) == 2
+    assert "cannot replace" in capsys.readouterr().err
+    assert sorted(p.name for p in run.iterdir()) == ["run.cfg.tmp"]
+    assert cli.main(["selftrain", "--data", data, "--out", str(run)] + FAST) == 0
+    assert not (run / "run.cfg.tmp").exists()
+    assert (run / "run.cfg").read_text().startswith("# dataset sha256=")
 
 
 def test_gen_data_memory_does_not_grow_with_the_split(tmp_path, capsys):

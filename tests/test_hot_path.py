@@ -2,8 +2,10 @@
 
 The references below are the former window stack (``np.pad`` plus one
 ``concatenate`` over the shifted views), bilinear resize (float64 copy of
-the source, each row gathered twice) and CE backward (one zero-filled
-gradient grid per term, summed as ``dfeat_s + lam * dfeat_u``).  The lean
+the source, each row gathered twice) and CE backward (fresh arrays on
+every call, labelled columns found from the masks each time, one
+zero-filled gradient grid per term, summed as ``dfeat_s + lam *
+dfeat_u``).  The lean
 versions must give the same bytes, not merely close values: self-training
 histories are compared byte for byte.
 """
@@ -81,7 +83,10 @@ def _ref_backward(image, params, table, space, y, ybar, lam):
     y = np.asarray(y)
     ybar_arr = np.zeros_like(y) if ybar is None else np.asarray(ybar)
     x, n, m = _ref_pixel_input(image, params)
-    activations = model._forward_layers(x, params)
+    activations = [x]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = w @ activations[-1] + b[:, None]
+        activations.append(z if i == len(params.weights) - 1 else np.tanh(z))
     feat = activations[-1]
     seen_chan = model._channel_lookup(space.seen_ids)
     unseen_chan = model._channel_lookup(space.unseen_ids)
@@ -201,10 +206,20 @@ def test_ce_term_writes_only_its_columns(table, space):
     emb = table.matrix(space.unseen_ids)
     ref_loss, ref_dfeat = _ref_ce_term(feat, emb, labels, chan)
     dfeat = np.zeros_like(feat)
-    loss = model._ce_term(feat, emb, labels, space.unseen_ids[0], dfeat, 2.5)
+    term = model.LabelTerm.of(labels, space.unseen_ids[0])
+    flags = np.empty(feat.shape, dtype=bool)
+    loss = model._ce_term(feat, emb, term, dfeat, flags, 2.5)
     assert loss == ref_loss
     assert _same_bytes(dfeat, 0.0 + 2.5 * ref_dfeat)
     assert not dfeat[:, labels == 0].any()
+    # a term over every column writes every column, with no gather
+    full = np.where(labels == 0, 4, labels)
+    term = model.LabelTerm.of(full, space.unseen_ids[0])
+    assert term.cols is None and term.pixels == full.size
+    ref_loss, ref_dfeat = _ref_ce_term(feat, emb, full, chan)
+    dfeat = np.full_like(feat, np.nan)
+    assert model._ce_term(feat, emb, term, dfeat, flags, 2.5) == ref_loss
+    assert _same_bytes(dfeat, 0.0 + 2.5 * ref_dfeat)
 
 
 def test_backward_checks_kept(table, space):
@@ -223,3 +238,50 @@ def test_backward_checks_kept(table, space):
     bad.weights[0][0, 0] = np.inf
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         model.backward(image, bad, table, space, y + 1, None, 1.0)
+
+
+@pytest.mark.parametrize("window,hidden", [(1, ()), (3, ()), (1, (5,)), (3, (5,))])
+def test_one_workspace_over_mixed_images_bitwise(table, space, window, hidden):
+    """One workspace, as a training rank keeps it, through images of two
+    sizes with fully, partly and un-labelled seen masks, with and without
+    pseudo masks, at lam 1 and 3, twice over with each image's labels
+    prepared once: every result equals the reference's bytes, and no
+    gradient is left in a column no term labels."""
+    rng = np.random.default_rng([window, len(hidden)])
+    params = model.init_backbone(16, table.dim, hidden, window, rng=rng)
+    seen_ids = np.array(space.seen_ids)
+    cases = []
+    for n, m in [(12, 10), (7, 9), (12, 10)]:
+        for kind in ("full", "part", "none"):
+            for pseudo in (False, True):
+                image = rng.standard_normal((16, n, m)).astype(np.float32)
+                y = rng.choice(seen_ids, size=(n, m))
+                if kind != "full":
+                    y = np.where(rng.random((n, m)) < (0.6 if kind == "part" else 0.0), y, 0)
+                ybar = None
+                if pseudo:
+                    unseen = rng.choice(np.array(space.unseen_ids), size=(n, m))
+                    share = 1.0 if kind == "none" and n == 7 else 0.5  # once, every pixel
+                    ybar = np.where((y == 0) & (rng.random((n, m)) < share), unseen, 0)
+                cases.append((image, y, ybar, 1.0 if len(cases) % 2 else 3.0))
+    assert any(lab.unseen is not None and lab.unseen.cols is None
+               for lab in (model.prepare_labels(im, params, space, y, yb)
+                           for im, y, yb, _ in cases))
+    # images in no fixed order, so a full grid is followed by a partial one
+    order = rng.permutation(len(cases))
+    work = model.Workspace()
+    labels = {}
+    for i in list(order) + list(order[::-1]):
+        image, y, ybar, lam = cases[i]
+        if i not in labels:
+            labels[i] = model.prepare_labels(image, params, space, y, ybar)
+        res = model.backward(image, params, table, space, y, ybar, lam,
+                             labels=labels[i], work=work)
+        grad_w, grad_b, loss, seen_px, unseen_px = _ref_backward(
+            image, params, table, space, y, ybar, lam)
+        for got, want in zip(res.grad_weights + res.grad_biases, grad_w + grad_b):
+            assert _same_bytes(got, want)
+        assert res.loss == loss
+        assert (res.seen_pixels, res.unseen_pixels) == (seen_px, unseen_px)
+        unlabelled = (y == 0).reshape(-1) if ybar is None else ((y == 0) & (ybar == 0)).reshape(-1)
+        assert not work.dfeat[:, unlabelled].any()

@@ -196,3 +196,32 @@ def test_history_csv_schema_enforced(tmp_path):
         st.read_history_csv(path)
     with pytest.raises(FormatError):
         st.read_history_csv(tmp_path / "missing.csv")
+
+
+def test_train_loop_calls_backward_once_per_batch_image(tiny, monkeypatch):
+    """On ``Pool(1)``, ``_train_loop`` calls ``self_training.backward``
+    iters x batch_size times, each image's labels prepared the first time
+    it is used and reused after."""
+    from gzlss import model
+    from gzlss.parallel import Pool
+
+    calls, prepared = [], []
+
+    def counting_backward(*args, **kwargs):
+        calls.append(kwargs["labels"])
+        return model.backward(*args, **kwargs)
+
+    def counting_prepare(image, *args):
+        prepared.append(image)
+        return model.prepare_labels(image, *args)
+
+    monkeypatch.setattr(st, "backward", counting_backward)
+    monkeypatch.setattr(st, "prepare_labels", counting_prepare)
+    cfg = _tc(batch_size=3)
+    rng = np.random.default_rng(4)
+    params = model.init_backbone(6, 4, rng=rng)
+    st._train_loop(params, tiny.train, None, tiny.table, tiny.space, cfg, 7, rng, Pool(1))
+    assert len(calls) == 7 * 3
+    # 21 draws cover all 10 images: each is prepared once, and its labels reused
+    assert len(prepared) == len({id(im) for im in prepared}) == len(tiny.train)
+    assert len({id(lab) for lab in calls}) == len(tiny.train)
